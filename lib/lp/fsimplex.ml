@@ -49,23 +49,56 @@ let check_finite_row ~what row =
   let n = Array.length row in
   for j = 0 to n - 1 do
     let v = Array.unsafe_get row j in
-    if v <> v || v = infinity || v = neg_infinity then
+    if v -. v <> 0.0 then
       raise (Numerical (Printf.sprintf "non-finite %s entry" what))
   done
 
-let pivot rows obj basis ~ncols r c =
+(* [v -. v] is 0.0 for every finite [v] and NaN for ±inf and NaN, so one
+   subtraction and one comparison check a value as it is written. *)
+let[@inline] finite what v =
+  if v -. v <> 0.0 then raise (Numerical what);
+  v
+
+(* The working tableau: [rows.(i).(ncols)] is row [i]'s right-hand side,
+   [basis.(i)] its basic column, and [supp] scratch space for the pivot
+   row's support (at most [ncols + 1] indices). *)
+type tableau = {
+  rows : float array array;
+  basis : int array;
+  ncols : int;
+  supp : int array;
+}
+
+(* Gaussian pivot on (r, c) that touches only the pivot row's support:
+   the row is scanned once, scaled, and its nonzero columns gathered;
+   every other row and the objective are then updated over those
+   columns alone.  Skipping a zero column j leaves target.(j) as it was,
+   which is exactly what the dense update x − f·0 = x writes, so the
+   pivot sequence is the dense one.  Every entry the pivot writes is
+   checked finite as it is written, which with the ingestion checks
+   keeps the whole tableau finite. *)
+let pivot t obj r c =
   Lp_layout.note_pivot ();
-  let row = rows.(r) in
-  let p = row.(c) in
-  let inv_p = 1.0 /. p in
-  for j = 0 to ncols do
-    row.(j) <- row.(j) *. inv_p
+  let row = t.rows.(r) and supp = t.supp in
+  let inv_p = 1.0 /. row.(c) in
+  let nnz = ref 0 in
+  for j = 0 to t.ncols do
+    let v = Array.unsafe_get row j in
+    if v <> 0.0 then begin
+      Array.unsafe_set row j (finite "non-finite pivot-row entry" (v *. inv_p));
+      Array.unsafe_set supp !nnz j;
+      incr nnz
+    end
   done;
+  let nnz = !nnz in
   let eliminate target =
     let f = target.(c) in
     if f <> 0.0 then begin
-      for j = 0 to ncols do
-        target.(j) <- target.(j) -. (f *. row.(j))
+      for k = 0 to nnz - 1 do
+        let j = Array.unsafe_get supp k in
+        Array.unsafe_set target j
+          (finite "non-finite eliminated entry"
+             (Array.unsafe_get target j -. (f *. Array.unsafe_get row j)))
       done;
       (* Clamp the pivot column exactly: the algebraic value is 0, and
          leaving the rounding residue in place would let later ratio
@@ -73,24 +106,16 @@ let pivot rows obj basis ~ncols r c =
       target.(c) <- 0.0
     end
   in
+  let rows = t.rows in
   for i = 0 to Array.length rows - 1 do
-    if i <> r then eliminate rows.(i)
+    if i <> r then eliminate (Array.unsafe_get rows i)
   done;
   eliminate obj;
   row.(c) <- 1.0;
-  basis.(r) <- c;
-  check_finite_row ~what:"pivot-row" row;
-  check_finite_row ~what:"objective" obj;
-  (* The right-hand sides feed every subsequent ratio test: a NaN there
-     would silently disable rows (every comparison false) instead of
-     failing, so check the whole column, not just the pivot row. *)
-  for i = 0 to Array.length rows - 1 do
-    let v = rows.(i).(ncols) in
-    if v <> v || v = infinity || v = neg_infinity then
-      raise (Numerical "non-finite right-hand side entry")
-  done
+  t.basis.(r) <- c
 
-let run_phase rows obj basis ~ncols ~allowed ~budget =
+let run_phase t obj ~allowed ~budget =
+  let { rows; basis; ncols; _ } = t in
   let m = Array.length rows in
   let bland = ref false in
   let degenerate_run = ref 0 in
@@ -142,7 +167,7 @@ let run_phase rows obj basis ~ncols ~allowed ~budget =
         end
         else degenerate_run := 0;
         decr budget;
-        pivot rows obj basis ~ncols !best_row c;
+        pivot t obj !best_row c;
         iterate ()
       end
     end
@@ -158,7 +183,8 @@ let run_phase rows obj basis ~ncols ~allowed ~budget =
    with no usable pivot element are skipped, and every crash pivot draws
    on the same budget as the solve proper, so a useless hint degrades
    into at worst a slightly shorter search, never a hang. *)
-let crash_warm rows basis ~ncols ~art_start ~budget warm =
+let crash_warm t ~art_start ~budget warm =
+  let { rows; basis; ncols; _ } = t in
   let m = Array.length rows in
   let scratch_obj = Array.make (ncols + 1) 0.0 in
   let in_basis = Array.make (ncols + 1) false in
@@ -186,7 +212,7 @@ let crash_warm rows basis ~ncols ~art_start ~budget warm =
           decr budget;
           in_basis.(basis.(!best_row)) <- false;
           in_basis.(c) <- true;
-          pivot rows scratch_obj basis ~ncols !best_row c
+          pivot t scratch_obj !best_row c
         end
       end)
     warm
@@ -197,13 +223,13 @@ let propose_point ?warm p (lay : Lp_layout.layout) =
   try
     let rows = Array.init m (fun _ -> Array.make (ncols + 1) 0.0) in
     let basis = Array.make m (-1) in
+    let t = { rows; basis; ncols; supp = Array.make (ncols + 1) 0 } in
+    let ingest v = finite "non-finite ingested entry" (Rat.to_float v) in
     let next_slack = ref p.Lp_layout.num_vars and next_art = ref art_start in
     Array.iteri
       (fun i (cols, vals, op, rhs) ->
-        Array.iteri
-          (fun k j -> rows.(i).(j) <- Rat.to_float vals.(k))
-          cols;
-        rows.(i).(ncols) <- Rat.to_float rhs;
+        Array.iteri (fun k j -> rows.(i).(j) <- ingest vals.(k)) cols;
+        rows.(i).(ncols) <- ingest rhs;
         (match op with
          | Lp_layout.Le ->
            rows.(i).(!next_slack) <- 1.0;
@@ -218,14 +244,13 @@ let propose_point ?warm p (lay : Lp_layout.layout) =
          | Lp_layout.Eq ->
            rows.(i).(!next_art) <- 1.0;
            basis.(i) <- !next_art;
-           incr next_art);
-        check_finite_row ~what:"ingested-row" rows.(i))
+           incr next_art))
       rows_data;
     (* Pivot cap: generous for any LP this project builds (the exact
        engines finish these in far fewer), tight enough that tolerance-
        blinded cycling degrades into a fallback instead of a hang. *)
     let budget = ref (200 + (50 * (m + ncols))) in
-    Option.iter (crash_warm rows basis ~ncols ~art_start ~budget) warm;
+    Option.iter (crash_warm t ~art_start ~budget) warm;
     (* Phase 1: minimize the sum of artificials. *)
     if num_art > 0 then begin
       let obj = Array.make (ncols + 1) 0.0 in
@@ -240,7 +265,7 @@ let propose_point ?warm p (lay : Lp_layout.layout) =
             done)
         basis;
       check_finite_row ~what:"objective" obj;
-      (match run_phase rows obj basis ~ncols ~allowed:(fun _ -> true) ~budget with
+      (match run_phase t obj ~allowed:(fun _ -> true) ~budget with
        | `Unbounded -> raise (Numerical "phase-1 objective looked unbounded")
        | `Optimal -> ());
       (* obj.(ncols) holds -(phase-1 value). *)
@@ -263,7 +288,7 @@ let propose_point ?warm p (lay : Lp_layout.layout) =
             if !found >= 0 then begin
               decr budget;
               if !budget <= 0 then raise (Numerical "pivot budget exhausted");
-              pivot rows obj basis ~ncols r !found
+              pivot t obj r !found
             end
           end)
         basis
@@ -283,7 +308,7 @@ let propose_point ?warm p (lay : Lp_layout.layout) =
       basis;
     check_finite_row ~what:"objective" obj;
     let allowed j = j < art_start in
-    match run_phase rows obj basis ~ncols ~allowed ~budget with
+    match run_phase t obj ~allowed ~budget with
     | `Unbounded -> (Unbounded_direction, None)
     | `Optimal ->
       (* The float primal point of the final basis: each basic structural
