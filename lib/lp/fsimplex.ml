@@ -219,12 +219,39 @@ let crash_warm t ~art_start ~budget warm =
 
 let propose_point ?warm p (lay : Lp_layout.layout) =
   Bagcqc_error.protect @@ fun () ->
-  let { Lp_layout.m; ncols; art_start; num_art; rows_data } = lay in
+  let { Lp_layout.m; ncols; art_start; rows_data; _ } = lay in
   try
     let rows = Array.init m (fun _ -> Array.make (ncols + 1) 0.0) in
     let basis = Array.make m (-1) in
     let t = { rows; basis; ncols; supp = Array.make (ncols + 1) 0 } in
     let ingest v = finite "non-finite ingested entry" (Rat.to_float v) in
+    (* Singleton start: a Ge/Eq row that would start on its artificial
+       starts instead on a structural column whose only nonzero in the
+       whole matrix is a usable positive entry in that row, with the row
+       scaled so the entry is 1.  Every other row has a 0 there, so the
+       start tableau is still the identity on the basis, and the basic
+       value rhs/a is non-negative, so phase 1 starts feasible with one
+       artificial fewer to drive out.  The artificial stays in the
+       layout, nonbasic.  {!Repair} re-verifies whatever basis comes
+       out, so this changes the search, never a verdict. *)
+    let col_nnz = Array.make p.Lp_layout.num_vars 0 in
+    Array.iter
+      (fun (cols, _, _, _) ->
+        Array.iter (fun j -> col_nnz.(j) <- col_nnz.(j) + 1) cols)
+      rows_data;
+    let singleton_start i cols =
+      let row = rows.(i) in
+      match Array.find_opt (fun j -> col_nnz.(j) = 1 && row.(j) > eps_pivot) cols with
+      | None -> ()
+      | Some j ->
+        let inv_a = 1.0 /. row.(j) in
+        for k = 0 to ncols do
+          let v = row.(k) in
+          if v <> 0.0 then row.(k) <- finite "non-finite scaled entry" (v *. inv_a)
+        done;
+        row.(j) <- 1.0;
+        basis.(i) <- j
+    in
     let next_slack = ref p.Lp_layout.num_vars and next_art = ref art_start in
     Array.iteri
       (fun i (cols, vals, op, rhs) ->
@@ -244,15 +271,16 @@ let propose_point ?warm p (lay : Lp_layout.layout) =
          | Lp_layout.Eq ->
            rows.(i).(!next_art) <- 1.0;
            basis.(i) <- !next_art;
-           incr next_art))
+           incr next_art);
+        if basis.(i) >= art_start then singleton_start i cols)
       rows_data;
     (* Pivot cap: generous for any LP this project builds (the exact
        engines finish these in far fewer), tight enough that tolerance-
        blinded cycling degrades into a fallback instead of a hang. *)
     let budget = ref (200 + (50 * (m + ncols))) in
     Option.iter (crash_warm t ~art_start ~budget) warm;
-    (* Phase 1: minimize the sum of artificials. *)
-    if num_art > 0 then begin
+    (* Phase 1: minimize the sum of the basic artificials. *)
+    if Array.exists (fun c -> c >= art_start) basis then begin
       let obj = Array.make (ncols + 1) 0.0 in
       for j = art_start to ncols - 1 do
         obj.(j) <- 1.0
