@@ -37,14 +37,21 @@ type verdict =
   | Repaired_infeasible
   | Rejected of string  (** stable reason tag, e.g. ["dual_infeasible"] *)
 
-(* Solve the square system [a · x = b] by Gaussian elimination with
+(* Solve the square system [a · x = b] by Gauss–Jordan elimination with
    first-nonzero pivoting, destructively on copies.  Returns [None] when
    [a] is singular.  Exactness makes partial pivoting for stability
-   unnecessary; any nonzero pivot is as good as any other. *)
+   unnecessary; any nonzero pivot is as good as any other.
+
+   Sparse: each pivot row's nonzero columns are gathered once, and the
+   other rows are updated over those columns only, so a zero entry costs
+   no [Rat] arithmetic (and no allocation).  Columns left of [k] are
+   already zero in row [k] — every earlier column was eliminated from
+   all rows but its own — so the support is collected from [k] on. *)
 let solve_square a b =
   let m = Array.length b in
   let a = Array.init m (fun i -> Array.copy a.(i)) in
   let b = Array.copy b in
+  let supp = Array.make m 0 in
   let ok = ref true in
   (try
      for k = 0 to m - 1 do
@@ -70,19 +77,30 @@ let solve_square a b =
          b.(k) <- b.(!piv);
          b.(!piv) <- t
        end;
-       let inv_p = Rat.inv a.(k).(k) in
+       let row = a.(k) in
+       let inv_p = Rat.inv row.(k) in
+       let nnz = ref 0 in
        for j = k to m - 1 do
-         a.(k).(j) <- a.(k).(j) */ inv_p
+         if not (Rat.is_zero row.(j)) then begin
+           row.(j) <- row.(j) */ inv_p;
+           supp.(!nnz) <- j;
+           incr nnz
+         end
        done;
-       b.(k) <- b.(k) */ inv_p;
+       let nnz = !nnz in
+       let bk = b.(k) */ inv_p in
+       b.(k) <- bk;
+       let bk_zero = Rat.is_zero bk in
        for i = 0 to m - 1 do
          if i <> k then begin
-           let f = a.(i).(k) in
+           let target = a.(i) in
+           let f = target.(k) in
            if not (Rat.is_zero f) then begin
-             for j = k to m - 1 do
-               a.(i).(j) <- a.(i).(j) -/ (f */ a.(k).(j))
+             for s = 0 to nnz - 1 do
+               let j = supp.(s) in
+               target.(j) <- target.(j) -/ (f */ row.(j))
              done;
-             b.(i) <- b.(i) -/ (f */ b.(k))
+             if not bk_zero then b.(i) <- b.(i) -/ (f */ bk)
            end
          end
        done
@@ -120,35 +138,48 @@ let repair (p : Lp_layout.problem) (lay : Lp_layout.layout) proposal =
     if not shape_ok then Rejected "bad_basis"
     else begin
       let cols = Lp_layout.columns lay ~num_vars in
-      (* B in row-major (bm.(i).(r) = entry of basis column r in row i)
-         and its transpose, plus rhs and the basic cost vector. *)
-      let bm = Array.init m (fun _ -> Array.make m Rat.zero) in
-      let bt = Array.init m (fun _ -> Array.make m Rat.zero) in
-      Array.iteri
-        (fun r c ->
-          List.iter
-            (fun (i, v) ->
-              bm.(i).(r) <- v;
-              bt.(r).(i) <- v)
-            cols.(c))
-        basis;
-      let b_rhs = Array.map (fun (_, _, _, rhs) -> rhs) rows_data in
       let cost j =
         if phase1 then if j >= art_start then Rat.one else Rat.zero
         else if j < num_vars then p.Lp_layout.objective.(j)
         else Rat.zero
       in
       let c_b = Array.map cost basis in
-      match solve_square bt c_b with
+      (* A phase-2 basis with c_B = 0 has y = 0 whenever B is regular,
+         so the transposed solve is skipped; a singular B is still
+         caught by the B·x = b solve below, under the same tag.  Phase 1
+         has no such second solve, so it always solves for y. *)
+      let y_zero = (not phase1) && Array.for_all Rat.is_zero c_b in
+      (* B in row-major (bm.(i).(r) = entry of basis column r in row i)
+         and, when y is solved for, its transpose. *)
+      let bm = Array.init m (fun _ -> Array.make m Rat.zero) in
+      let bt =
+        if y_zero then [||] else Array.init m (fun _ -> Array.make m Rat.zero)
+      in
+      Array.iteri
+        (fun r c ->
+          List.iter
+            (fun (i, v) ->
+              bm.(i).(r) <- v;
+              if not y_zero then bt.(r).(i) <- v)
+            cols.(c))
+        basis;
+      let b_rhs = Array.map (fun (_, _, _, rhs) -> rhs) rows_data in
+      let y =
+        if y_zero then Some (Array.make m Rat.zero) else solve_square bt c_b
+      in
+      match y with
       | None -> Rejected "singular_basis"
       | Some y ->
+        let reduced_cost j =
+          if y_zero then cost j else cost j -/ dot_col y cols.(j)
+        in
         if phase1 then begin
           (* Dual feasibility over every column, basic ones included
              (for those the reduced cost is 0 by construction; checking
              them costs little and catches solve bugs). *)
           let dual_ok = ref true in
           for j = 0 to ncols - 1 do
-            if !dual_ok && Rat.sign (cost j -/ dot_col y cols.(j)) < 0 then
+            if !dual_ok && Rat.sign (reduced_cost j) < 0 then
               dual_ok := false
           done;
           if not !dual_ok then Rejected "dual_infeasible"
@@ -184,7 +215,7 @@ let repair (p : Lp_layout.problem) (lay : Lp_layout.layout) proposal =
                 let dual_ok = ref true in
                 for j = 0 to art_start - 1 do
                   if (not basic.(j)) && !dual_ok
-                     && Rat.sign (cost j -/ dot_col y cols.(j)) < 0
+                     && Rat.sign (reduced_cost j) < 0
                   then dual_ok := false
                 done;
                 if not !dual_ok then Rejected "dual_infeasible"
