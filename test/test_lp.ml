@@ -403,6 +403,155 @@ let test_hybrid_falls_back_on_overflow () =
     Alcotest.check rt "point" (Rat.inv huge) x.(0)
   | _ -> Alcotest.fail "expected optimal via exact fallback"
 
+(* An elimination that overflows inside a row other than the pivot row:
+   min −x s.t. 1e-8·x + 1e300·y ≤ 1e-8 and 100·x ≤ 1e6.  x enters on the
+   1e-8 pivot of row 0, which scales that row's y entry to ~1e308 (still
+   finite); eliminating x from row 1 then writes −100·1e308 = −inf into
+   row 1's body.  The pivot row, the objective and the right-hand sides
+   all stay finite, so only a check on every written entry sees it. *)
+(* One sparse problem, built for both interfaces: {!Simplex} for the
+   solves, {!Lp_layout} for driving {!Fsimplex} and {!Repair} directly. *)
+let both_problems ~num_vars ~objective rows =
+  let to_op : Simplex.op -> Lp_layout.op = function
+    | Simplex.Le -> Lp_layout.Le
+    | Simplex.Ge -> Lp_layout.Ge
+    | Simplex.Eq -> Lp_layout.Eq
+  in
+  ( Simplex.{ num_vars; objective;
+              constraints =
+                List.map (fun (pairs, op, rhs) -> sparse_constr pairs op rhs) rows },
+    { Lp_layout.num_vars; objective;
+      constraints =
+        List.map
+          (fun (pairs, op, rhs) -> Lp_layout.sparse_constr pairs (to_op op) rhs)
+          rows } )
+
+let test_float_overflow_in_eliminated_row () =
+  let big = Rat.of_bigint (Bigint.of_string ("1" ^ String.make 300 '0')) in
+  let tiny = Rat.of_ints 1 100_000_000 in
+  let sp, lp =
+    both_problems ~num_vars:2 ~objective:[| Rat.minus_one; Rat.zero |]
+      [ ([ (0, tiny); (1, big) ], Simplex.Le, tiny);
+        ([ (0, q 100) ], Simplex.Le, q 1_000_000) ]
+  in
+  (match Fsimplex.propose lp (Lp_layout.layout_of lp) with
+   | Error { Bagcqc_error.kind = Bagcqc_error.Overflow _; where } ->
+     Alcotest.(check string) "where" "Fsimplex.propose" where
+   | Error e ->
+     Alcotest.failf "expected Overflow, got %s" (Bagcqc_error.to_string e)
+   | Ok _ -> Alcotest.fail "expected an elimination overflow, got a proposal");
+  match Simplex.solve ~mode:Simplex.Float_first sp with
+  | Simplex.Optimal (v, x) ->
+    Alcotest.check rt "value" Rat.minus_one v;
+    Alcotest.check rt "x" Rat.one x.(0);
+    Alcotest.check rt "y" Rat.zero x.(1)
+  | _ -> Alcotest.fail "expected optimal via exact fallback"
+
+(* An LP shaped like the restricted Farkas system of the lazy cone
+   driver: rows s = 0..r−1 read ν_s + Σ a·λ − Σ e·μ = 0, each ν_s a
+   positive unit column found in no other row, plus Σμ = 1.  Every Eq
+   row but the last starts on its ν column, so the float solve needs
+   only the pivots that drive the Σμ row's artificial out — fewer than
+   there are Eq rows, where starting on artificials needs at least one
+   pivot per row. *)
+let farkas_shaped ~rows ~lambdas ~mus seed =
+  let st = Random.State.make [| seed |] in
+  let coef () = Random.State.int st 5 - 2 in
+  let terms base k =
+    List.filter_map
+      (fun i ->
+        let c = coef () in
+        if c = 0 then None else Some (base + i, q c))
+      (List.init k Fun.id)
+  in
+  let eq_rows =
+    List.init rows (fun s ->
+        ( ((lambdas + mus + s), Rat.one) :: terms 0 lambdas @ terms lambdas mus,
+          Simplex.Eq, Rat.zero ))
+  in
+  let mu_row =
+    (List.init mus (fun l -> (lambdas + l, Rat.one)), Simplex.Eq, Rat.one)
+  in
+  let num_vars = lambdas + mus + rows in
+  both_problems ~num_vars ~objective:(Array.make num_vars Rat.zero)
+    (eq_rows @ [ mu_row ])
+
+let test_singleton_start () =
+  let rows = 8 in
+  let outcomes = ref [] in
+  for seed = 1 to 40 do
+    let sp, lp = farkas_shaped ~rows ~lambdas:4 ~mus:2 seed in
+    let exact = Simplex.solve ~mode:Simplex.Exact sp in
+    let hybrid = Simplex.solve ~mode:Simplex.Float_first sp in
+    if not (outcomes_agree exact hybrid) then
+      Alcotest.failf "seed %d: float_first and exact disagree" seed;
+    outcomes := exact :: !outcomes;
+    let p0 = Lp_layout.pivot_count () in
+    (match Fsimplex.propose lp (Lp_layout.layout_of lp) with
+     | Ok (Fsimplex.Optimal_basis _ | Fsimplex.Infeasible_basis _) -> ()
+     | Ok Fsimplex.Unbounded_direction | Error _ ->
+       Alcotest.failf "seed %d: no float proposal" seed);
+    let dp = Lp_layout.pivot_count () - p0 in
+    if dp >= rows + 1 then
+      Alcotest.failf "seed %d: %d pivots for %d Eq rows" seed dp (rows + 1)
+  done;
+  (* The seeds cover both outcomes, so both proposal kinds were checked. *)
+  let has f = List.exists f !outcomes in
+  Alcotest.(check bool) "some feasible" true
+    (has (function Simplex.Optimal _ -> true | _ -> false));
+  Alcotest.(check bool) "some infeasible" true
+    (has (function Simplex.Infeasible -> true | _ -> false));
+  (* End to end: the lazy driver's Farkas solve starts from its ν
+     columns, and its certificate still checks exactly. *)
+  let open Bagcqc_entropy in
+  let vs = Varset.of_list in
+  let subadditive =
+    Linexpr.sub
+      (Linexpr.sum (List.map (fun i -> Linexpr.term (vs [ i ])) [ 0; 1; 2; 3 ]))
+      (Linexpr.term (vs [ 0; 1; 2; 3 ]))
+  in
+  match Separation.valid_max_cert ~n:4 [ subadditive ] with
+  | Ok cert ->
+    Alcotest.(check bool) "certificate passes Certificate.check" true
+      (Certificate.check cert)
+  | Error _ -> Alcotest.fail "subadditivity is Shannon-valid"
+
+(* Repair's phase-2 shortcut (c_B = 0 ⇒ y = 0) must not weaken its
+   checks: over x + y = 1, 2x + 2y = 2 with zero objective, the basis
+   {x, y} is singular and is rejected as such, while a regular basis is
+   accepted.  Phase-1 bases always solve for y and keep their tags. *)
+let test_repair_zero_cost_basis () =
+  let p =
+    { Lp_layout.num_vars = 2; objective = qa [ 0; 0 ];
+      constraints = [ Lp_layout.constr (qa [ 1; 1 ]) Lp_layout.Eq (q 1);
+                      Lp_layout.constr (qa [ 2; 2 ]) Lp_layout.Eq (q 2) ] }
+  in
+  let lay = Lp_layout.layout_of p in
+  let tag = function
+    | Repair.Rejected reason -> reason
+    | Repair.Repaired_optimal _ -> "optimal"
+    | Repair.Repaired_infeasible -> "infeasible"
+  in
+  let art0 = lay.Lp_layout.art_start in
+  let check msg expected proposal =
+    Alcotest.(check string) msg expected (tag (Repair.repair p lay proposal))
+  in
+  check "phase 2, c_B = 0, singular" "singular_basis"
+    (Fsimplex.Optimal_basis [| 0; 1 |]);
+  check "phase 2, c_B = 0, regular" "optimal"
+    (Fsimplex.Optimal_basis [| 0; art0 + 1 |]);
+  check "phase 1, c_B = 0, singular" "singular_basis"
+    (Fsimplex.Infeasible_basis [| 0; 1 |]);
+  check "phase 1, artificial basis of a feasible system" "dual_infeasible"
+    (Fsimplex.Infeasible_basis [| art0; art0 + 1 |]);
+  let p1 =
+    { Lp_layout.num_vars = 1; objective = qa [ 0 ];
+      constraints = [ Lp_layout.constr (qa [ 1 ]) Lp_layout.Eq (q 1) ] }
+  in
+  Alcotest.(check string) "phase 1, c_B = 0, regular" "not_infeasible"
+    (tag (Repair.repair p1 (Lp_layout.layout_of p1)
+            (Fsimplex.Infeasible_basis [| 0 |])))
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_solution_feasible; prop_engines_agree; prop_sparse_ingestion;
@@ -422,5 +571,9 @@ let suite =
     ("sparse_constr validation", `Quick, test_sparse_constr_validation);
     ("mode selector", `Quick, test_mode_selector);
     ("float overflow is typed", `Quick, test_float_overflow_is_typed);
-    ("hybrid falls back on overflow", `Quick, test_hybrid_falls_back_on_overflow) ]
+    ("hybrid falls back on overflow", `Quick, test_hybrid_falls_back_on_overflow);
+    ("float overflow in an eliminated row", `Quick,
+     test_float_overflow_in_eliminated_row);
+    ("singleton start basis", `Quick, test_singleton_start);
+    ("repair with zero basic cost", `Quick, test_repair_zero_cost_basis) ]
   @ qtests
