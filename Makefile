@@ -1,5 +1,5 @@
 .PHONY: all build test check fuzz bench bench-json compare trace-demo \
-	serve-smoke corpus sweep corpus-smoke clean
+	serve-smoke corpus sweep corpus-smoke bench-smoke clean
 
 all: build
 
@@ -113,6 +113,13 @@ corpus-smoke: build
 	dune exec bench/sweep.exe -- audit $(SMOKE_OUT)/check-smoke.jsonl \
 	  -o $(SMOKE_OUT)/sweep.jsonl --append
 	python3 scripts/sweep_tables.py $(SMOKE_OUT)/sweep.jsonl
+
+# Benchmark smoke (what CI's bench-smoke job runs): a 2-second frontier
+# run on the holdout seed that fails unless every decision re-checks
+# (Farkas certificates, witness recounts, refuter membership) and none
+# failed.  See scripts/bench_smoke.py.
+bench-smoke:
+	python3 scripts/bench_smoke.py
 
 # Observability demo: run a traced containment check and print the span
 # tree, cache traffic, and histogram percentiles back out of the file.

@@ -12,14 +12,25 @@
    this module gets wrong costs a fallback to the exact engine, never a
    wrong answer.
 
+   Sparsity: the Γn systems this project solves have sparse rows (a
+   probe's pivot row has about a dozen nonzeros out of a hundred-odd
+   columns), so a pivot gathers the pivot row's support once and
+   updates the other rows and the objective over that support only.
+   And an Eq/Ge row whose structural part contains a positive singleton
+   column starts with that column basic instead of its artificial (the
+   restricted Farkas system's ν columns), so phase 1 only drives out
+   the artificials no such column covers.
+
    Total-error discipline: floats fail in ways exact rationals cannot —
    overflow to [infinity] on ingestion of huge rationals, NaN out of
    inf/inf pivots, and cycling that Bland's rule cannot see through
    tolerances.  All three surface as a typed {!Bagcqc_error} with kind
    [Overflow] (never a NaN silently poisoning the pricing loop, which
-   would make every comparison false and stall the solve): coefficients
-   are checked finite on ingestion, the touched rows are re-checked after
-   every pivot, and a pivot-count cap bounds the search. *)
+   would make every comparison false and stall the solve): every
+   coefficient is checked finite on ingestion, every entry a pivot (or
+   a start-basis scaling) writes is checked finite as it is written —
+   so the whole tableau stays finite, eliminated rows included — and a
+   pivot-count cap bounds the search. *)
 
 open Bagcqc_num
 
@@ -241,13 +252,15 @@ let propose_point ?warm p (lay : Lp_layout.layout) =
       rows_data;
     let singleton_start i cols =
       let row = rows.(i) in
-      match Array.find_opt (fun j -> col_nnz.(j) = 1 && row.(j) > eps_pivot) cols with
+      let usable j = col_nnz.(j) = 1 && row.(j) > eps_pivot in
+      match Array.find_opt usable cols with
       | None -> ()
       | Some j ->
         let inv_a = 1.0 /. row.(j) in
         for k = 0 to ncols do
           let v = row.(k) in
-          if v <> 0.0 then row.(k) <- finite "non-finite scaled entry" (v *. inv_a)
+          if v <> 0.0 then
+            row.(k) <- finite "non-finite scaled entry" (v *. inv_a)
         done;
         row.(j) <- 1.0;
         basis.(i) <- j

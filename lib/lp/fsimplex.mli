@@ -6,7 +6,11 @@
     machine floats with tolerance-based comparisons, and returns only a
     {e basis proposal}.  {!Repair} reconstructs the exact rational
     solution for that basis and verifies it; this module therefore
-    affects performance and the fallback rate, never correctness. *)
+    affects performance and the fallback rate, never correctness.
+
+    Pivots touch only the pivot row's nonzero support, and an [Eq]/[Ge]
+    row with a positive singleton structural column starts with that
+    column basic instead of its artificial. *)
 
 type proposal =
   | Optimal_basis of int array

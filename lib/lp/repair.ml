@@ -21,6 +21,12 @@
    Ax = b we would get 0 ≥ Σ (y·A_j)x_j = y·b > 0 — a Farkas
    contradiction, so the original system is infeasible.
 
+   Both solves are sparse Gauss–Jordan eliminations that touch only the
+   pivot row's nonzero support.  A phase-2 basis with c_B = 0 (every
+   feasibility LP) skips the transposed solve and takes y = 0, which is
+   B⁻ᵀ·0 whenever B is regular; a singular B is still caught, as
+   [singular_basis], by the B·x = b solve.
+
    Every check is an exact [Rat] comparison; no tolerance anywhere.  Any
    failure — singular basis, negative basic variable, nonzero basic
    artificial, negative reduced cost, non-positive phase-1 dual value —
@@ -149,23 +155,17 @@ let repair (p : Lp_layout.problem) (lay : Lp_layout.layout) proposal =
          caught by the B·x = b solve below, under the same tag.  Phase 1
          has no such second solve, so it always solves for y. *)
       let y_zero = (not phase1) && Array.for_all Rat.is_zero c_b in
-      (* B in row-major (bm.(i).(r) = entry of basis column r in row i)
-         and, when y is solved for, its transpose. *)
+      (* B in row-major: bm.(i).(r) = entry of basis column r in row i. *)
       let bm = Array.init m (fun _ -> Array.make m Rat.zero) in
-      let bt =
-        if y_zero then [||] else Array.init m (fun _ -> Array.make m Rat.zero)
-      in
       Array.iteri
-        (fun r c ->
-          List.iter
-            (fun (i, v) ->
-              bm.(i).(r) <- v;
-              if not y_zero then bt.(r).(i) <- v)
-            cols.(c))
+        (fun r c -> List.iter (fun (i, v) -> bm.(i).(r) <- v) cols.(c))
         basis;
       let b_rhs = Array.map (fun (_, _, _, rhs) -> rhs) rows_data in
       let y =
-        if y_zero then Some (Array.make m Rat.zero) else solve_square bt c_b
+        if y_zero then Some (Array.make m Rat.zero)
+        else
+          let bt = Array.init m (fun r -> Array.init m (fun i -> bm.(i).(r))) in
+          solve_square bt c_b
       in
       match y with
       | None -> Rejected "singular_basis"

@@ -2,9 +2,10 @@
 
     The "exact" half of the hybrid LP pipeline (DESIGN.md §4f): given a
     basis proposed by {!Fsimplex}, reconstruct the exact rational basic
-    solution [x_B = B⁻¹b] and dual multipliers [y = B⁻ᵀc_B] (one
-    Gaussian solve each, no pivoting) and accept the proposed verdict
-    only if it verifies in exact arithmetic:
+    solution [x_B = B⁻¹b] and dual multipliers [y = B⁻ᵀc_B] (one sparse
+    Gauss–Jordan solve each, no pivoting search; a phase-2 basis with
+    [c_B = 0] takes [y = 0] without a solve) and accept the proposed
+    verdict only if it verifies in exact arithmetic:
 
     - an optimal basis must have [x_B ≥ 0], every basic artificial at 0,
       and all nonbasic reduced costs [c_j − y·A_j ≥ 0] — then the value
