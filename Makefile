@@ -114,10 +114,11 @@ corpus-smoke: build
 	  -o $(SMOKE_OUT)/sweep.jsonl --append
 	python3 scripts/sweep_tables.py $(SMOKE_OUT)/sweep.jsonl
 
-# Benchmark smoke (what CI's bench-smoke job runs): a 2-second frontier
-# run on the holdout seed that fails unless every decision re-checks
-# (Farkas certificates, witness recounts, refuter membership) and none
-# failed.  See scripts/bench_smoke.py.
+# Benchmark smoke (what CI's bench-smoke job runs): 2-second frontier
+# (holdout seed 7919) and fleet (seed 202, which draws a 4,096-row
+# witness) runs that fail unless every decision re-checks (Farkas
+# certificates, witness recounts, refuter membership) and none failed.
+# See scripts/bench_smoke.py.
 bench-smoke:
 	python3 scripts/bench_smoke.py
 

@@ -10,9 +10,11 @@
      audit  differential correctness sweep: every instance under the
             engine matrix (cone lazy/full x LP float_first/exact x
             jobs 1/4), every verdict compared against the corpus label
-            and across configurations, every certificate re-checked with
-            the exact checker; any disagreement prints a reproducer and
-            fails the run
+            and across configurations, and the evidence of every verdict
+            re-checked off the latency clock (certificates by the exact
+            checker, witnesses by recounting homomorphisms, refuters by
+            normal-cone membership and negative sides); any disagreement
+            or failed re-check prints a reproducer and fails the run
 
    Strata are processed one parallel region at a time, so per-stratum
    counter deltas (cache hits, LP solves) are exact — the pool is
@@ -44,30 +46,52 @@ let load_corpus path =
 type decided = {
   verdict : string;
   latency_us : int;
-  cert_ok : bool;  (** exact re-check of the attached certificate; true
-                       when the verdict carries none *)
+  failure : string option;
+      (** why the verdict's evidence failed its exact re-check; [None]
+          when it passed or the verdict carries none *)
 }
 
+(* Re-checks of a verdict's evidence that re-solve no LP: a Farkas
+   certificate by Certificate.check, a containment witness by recounting
+   hom(Q1,D) > hom(Q2,D) on its database, a Max-IIP refuter by
+   membership in the normal cone and a negative value on every side. *)
+let check_failure outcome =
+  let unless ok reason = if ok then None else Some reason in
+  match outcome with
+  | `Check (_, _, Containment.Contained cert) | `Iip (_, Maxii.Valid cert) ->
+    unless (Certificate.check cert) "certificate does not re-check"
+  | `Check (q1, q2, Containment.Not_contained w) ->
+    let h1 = Hom.count q1 w.Containment.db and h2 = Hom.count q2 w.Containment.db in
+    unless (h1 > h2)
+      (Printf.sprintf "witness: hom(Q1,D) = %d <= hom(Q2,D) = %d" h1 h2)
+  | `Iip (ii, Maxii.Invalid h) ->
+    let negative e = Bagcqc_num.Rat.sign (Polymatroid.eval h e) < 0 in
+    if not (Polymatroid.is_normal h) then Some "refuter is not normal"
+    else unless (List.for_all negative (Maxii.sides ii))
+        "refuter leaves a side non-negative"
+  | `Check (_, _, Containment.Unknown _) | `Iip (_, Maxii.Unknown _) -> None
+
+(* The latency covers the decision only; the evidence re-check runs
+   after it is taken. *)
 let decide_payload payload =
   let t0 = Unix.gettimeofday () in
-  let verdict, cert_ok =
+  let outcome =
     match payload with
-    | Corpus.Check_pair { q1; q2 } -> begin
-      match Containment.decide q1 q2 with
-      | Containment.Contained cert -> ("contained", Certificate.check cert)
-      | Containment.Not_contained _ -> ("not_contained", true)
-      | Containment.Unknown _ -> ("unknown", true)
-    end
-    | Corpus.Iip_sides { n; sides } -> begin
+    | Corpus.Check_pair { q1; q2 } -> `Check (q1, q2, Containment.decide q1 q2)
+    | Corpus.Iip_sides { n; sides } ->
       let ii = Maxii.general ~n (List.map Corpus.build_side sides) in
-      match Maxii.decide ii with
-      | Maxii.Valid cert -> ("valid", Certificate.check cert)
-      | Maxii.Invalid _ -> ("invalid", true)
-      | Maxii.Unknown _ -> ("unknown", true)
-    end
+      `Iip (ii, Maxii.decide ii)
   in
   let dt_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
-  { verdict; latency_us = dt_us; cert_ok }
+  let verdict =
+    match outcome with
+    | `Check (_, _, Containment.Contained _) -> "contained"
+    | `Check (_, _, Containment.Not_contained _) -> "not_contained"
+    | `Iip (_, Maxii.Valid _) -> "valid"
+    | `Iip (_, Maxii.Invalid _) -> "invalid"
+    | `Check (_, _, Containment.Unknown _) | `Iip (_, Maxii.Unknown _) -> "unknown"
+  in
+  { verdict; latency_us = dt_us; failure = check_failure outcome }
 
 (* ---------------- per-stratum accounting ---------------- *)
 
@@ -98,7 +122,9 @@ type stratum_result = {
   s_hist : Metrics.hist_snapshot;
   s_counters : (string * int) list;
   s_mismatches : (Corpus.instance * string) list;  (** instance, got *)
-  s_cert_failures : Corpus.instance list;
+  s_cert_failures : (Corpus.instance * string) list;
+      (** instance, reason: certificate, witness and refuter re-checks;
+          reported as ["cert_failures"] *)
 }
 
 let stratum_json s =
@@ -163,7 +189,8 @@ let sweep_stratum ~observe_hist (name, insts) =
   in
   let cert_failures =
     Array.to_list results
-    |> List.filter_map (fun (inst, d) -> if d.cert_ok then None else Some inst)
+    |> List.filter_map (fun (inst, d) ->
+           Option.map (fun reason -> (inst, reason)) d.failure)
   in
   (name, Array.length arr, wall, counters, mismatches, cert_failures)
 
@@ -245,7 +272,7 @@ let serve_stratum client ~window ~observe_hist (name, insts) =
          results)
     |> List.filter_map Fun.id
   in
-  (* certificates stay daemon-side in serve mode *)
+  (* evidence stays daemon-side in serve mode *)
   (name, total, wall, counters, mismatches, [])
 
 (* ---------------- one full run ---------------- *)
@@ -255,9 +282,9 @@ let print_mismatch ~config_name (inst, got) =
     config_name inst.Corpus.verdict got
     (Corpus.instance_line inst)
 
-let print_cert_failure ~config_name inst =
-  Printf.eprintf "sweep: CERTIFICATE CHECK FAILED [%s]:\n  %s\n%!" config_name
-    (Corpus.instance_line inst)
+let print_cert_failure ~config_name (inst, reason) =
+  Printf.eprintf "sweep: EVIDENCE CHECK FAILED [%s] %s:\n  %s\n%!" config_name
+    reason (Corpus.instance_line inst)
 
 type run_summary = {
   r_total : int;
@@ -497,7 +524,7 @@ let run_cmd =
       emit_record out append summary.r_json;
       Printf.eprintf
         "sweep run: %d instances in %.2fs (%.0f/s), %d mismatches, %d \
-         certificate failures\n%!"
+         evidence failures\n%!"
         summary.r_total summary.r_wall
         (if summary.r_wall > 0.0 then
            float_of_int summary.r_total /. summary.r_wall
@@ -604,7 +631,7 @@ let audit_cmd =
         emit_record out true summary.r_json;
         failures := !failures + summary.r_mismatches + summary.r_cert_failures;
         Printf.eprintf "sweep audit [%s]: %d instances, %.2fs, %d mismatches, \
-                        %d cert failures\n%!"
+                        %d evidence failures\n%!"
           config_name summary.r_total summary.r_wall summary.r_mismatches
           summary.r_cert_failures)
       matrix;
@@ -619,7 +646,7 @@ let audit_cmd =
     else begin
       Printf.eprintf
         "sweep audit: engine matrix clean (%d configurations, 0 mismatches, \
-         0 certificate failures)\n%!"
+         0 evidence failures)\n%!"
         (List.length matrix);
       0
     end

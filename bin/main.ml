@@ -134,9 +134,19 @@ let q2_opt_arg =
          ~doc:"Containing query, e.g. 'R(x,y), R(x,z)'.")
 
 let max_factors_arg =
-  Arg.(value & opt int 14 & info [ "max-factors" ]
-         ~doc:"Budget for witness search: the candidate witness is a domain \
-               product of at most this many two-row step relations.")
+  let cap = Containment.max_factors_cap in
+  let parse s =
+    match int_of_string_opt s with
+    | Some m when m >= 1 && m <= cap -> Ok m
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer in [1,%d]" cap))
+  in
+  Arg.(value & opt (conv (parse, Format.pp_print_int))
+         Containment.default_max_factors
+       & info [ "max-factors" ] ~docv:"N"
+         ~doc:(Printf.sprintf
+                 "Budget for witness search, in [1,%d]: the candidate \
+                  witness is a domain product of at most this many two-row \
+                  step relations, so it has at most 2^N rows." cap))
 
 let names_of q i = Query.var_name q i
 

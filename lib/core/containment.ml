@@ -108,7 +108,10 @@ let verify_witness ?(annotate = true) q1 q2 p =
   let hom2 = Hom.count ~limit:card q2 db in
   if hom2 < card then Some (card, hom2) else None
 
-let witness_from_normal ?(max_factors = 14) q1 q2 h =
+let default_max_factors = 14
+let max_factors_cap = 16
+
+let witness_from_normal ?(max_factors = default_max_factors) q1 q2 h =
   match Polymatroid.normal_decomposition h with
   | None -> None
   | Some coeffs ->

@@ -67,12 +67,23 @@ val eq8 : ?dedup:bool -> ?decs:Treedec.t list -> Query.t -> Query.t -> Maxii.t
     sides — an optimization only, the max is insensitive to duplicates.
     @raise Invalid_argument if either query is not Boolean. *)
 
+val default_max_factors : int
+(** 14: the witness budget {!decide} uses when [max_factors] is not given. *)
+
+val max_factors_cap : int
+(** 16: the largest [max_factors] that the [check] command line and the
+    serve protocol accept.  A budget of [m] factors may materialize a
+    [2^m]-row witness, and each extra factor doubles the witness work
+    (every 4 factors cost ~16× time); 2^16 rows decide in ~0.1 s, while
+    a single request at 28 factors would exhaust memory.  The library
+    entry points themselves take any budget. *)
+
 val decide : ?max_factors:int -> Query.t -> Query.t -> verdict
 (** [decide q1 q2] checks [q1 ⊑ q2] (both Boolean; duplicate atoms are
     removed first, which is sound under bag-set semantics).
-    [max_factors] (default 14) bounds the witness search: the candidate
-    relation is a domain product of at most that many two-row step
-    relations, i.e. at most [2^max_factors] rows.
+    [max_factors] (default {!default_max_factors}) bounds the witness
+    search: the candidate relation is a domain product of at most that
+    many two-row step relations, i.e. at most [2^max_factors] rows.
     @raise Invalid_argument if either query is not Boolean. *)
 
 val decide_result :

@@ -68,13 +68,6 @@ let locality_holds q1 q2 p ~phi =
   if Array.length phi <> Query.nvars q2 then
     invalid_arg "Witness.locality_holds: phi length mismatch";
   let db = Database.of_vrelation ~annotate:true q1 p in
-  let annotated_p =
-    Relation.of_list ~arity:(Relation.arity p)
-      (List.map
-         (fun row ->
-           Array.mapi (fun i v -> Value.Tag (Query.var_name q1 i, v)) row)
-         (Relation.to_list p))
-  in
   let name_to_var = Hashtbl.create 16 in
   Array.iteri
     (fun i name -> Hashtbl.replace name_to_var name i)
@@ -133,7 +126,7 @@ let locality_holds q1 q2 p ~phi =
           List.filter (fun v -> Varset.mem (Hashtbl.find reindex v) covered) bag_vars
         in
         let proj_cols = Array.of_list (List.map (fun v -> phi.(v)) covered_orig) in
-        let projected = Relation.project proj_cols annotated_p in
+        let projected = Database.project_annotated q1 proj_cols p in
         List.for_all
           (fun g ->
             (* Does g decode to φ on the covered bag variables? *)

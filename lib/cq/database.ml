@@ -45,21 +45,22 @@ let canonical q =
         db)
     empty (Query.atoms q)
 
+let project_annotated q cols p =
+  let tags = Array.map (Query.var_name q) cols in
+  Relation.of_list ~arity:(Array.length cols)
+    (List.map
+       (Array.mapi (fun j v -> Value.Tag (tags.(j), v)))
+       (Relation.to_list (Relation.project cols p)))
+
 let of_vrelation ?(annotate = false) q p =
   if Relation.arity p <> Query.nvars q then
     invalid_arg "Database.of_vrelation: arity must equal the query's variable count";
-  let p =
-    if not annotate then p
-    else
-      Relation.of_list ~arity:(Relation.arity p)
-        (List.map
-           (fun row ->
-             Array.mapi (fun i v -> Value.Tag (Query.var_name q i, v)) row)
-           (Relation.to_list p))
+  let project =
+    if annotate then project_annotated q else Relation.project
   in
   List.fold_left
     (fun db a ->
-      let proj = Relation.project a.Query.args p in
+      let proj = project a.Query.args p in
       let prev = relation db a.Query.rel ~arity:(Relation.arity proj) in
       add_relation a.Query.rel (Relation.union prev proj) db)
     empty (Query.atoms q)

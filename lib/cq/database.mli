@@ -34,9 +34,17 @@ val canonical : Query.t -> t
 val of_vrelation : ?annotate:bool -> Query.t -> Relation.t -> t
 (** [of_vrelation q p] is [Π_Q(P)] from Eq. 4: for every atom [A] of [q],
     the generalized projection [Π_{vars(A)}(P)] is unioned into [rel(A)].
-    [~annotate:true] first tags every value with its column's variable
-    name ([c ↦ Tag(var, c)]), the trick that makes the proof of
-    Theorem 4.4 work (see its footnote 7).
+    [~annotate:true] tags every value with its column's variable name
+    ([c ↦ Tag(var, c)]), the trick that makes the proof of Theorem 4.4
+    work (see its footnote 7).  Each atom's projection is tagged after
+    projecting ({!project_annotated}), so the annotated copy of [P]
+    itself is never built.
     @raise Invalid_argument if [Relation.arity p <> Query.nvars q]. *)
+
+val project_annotated : Query.t -> int array -> Relation.t -> Relation.t
+(** [project_annotated q cols p] is [Relation.project cols] of [p] with
+    every value tagged by its source variable: column [j] of the result
+    holds [Tag (var_name q cols.(j), c)].  Tagging is injective on each
+    column, so this equals projecting the fully annotated [P]. *)
 
 val pp : Format.formatter -> t -> unit

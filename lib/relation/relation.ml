@@ -100,20 +100,33 @@ let domain_product a b =
   in
   { arity = a.arity; rows }
 
+(* Bit-coded rows (see the mli for why this is isomorphic to the fold of
+   [domain_product] over [step_relation]s).  Rows are distinct because
+   every Wⱼ is proper, so each bit of [b] shows in some column. *)
 let of_normal_steps ~n coeffs =
-  List.iter
-    (fun (_, c) ->
-      if c <= 0 then
-        invalid_arg "Relation.of_normal_steps: multiplicities must be positive")
-    coeffs;
-  let factors =
-    List.concat_map (fun (w, c) -> List.init c (fun _ -> step_relation ~n w)) coeffs
+  let max_factors = Sys.int_size - 2 in
+  let masks = Array.make n 0 in
+  let m =
+    List.fold_left
+      (fun m (w, c) ->
+        if c <= 0 then
+          invalid_arg "Relation.of_normal_steps: multiplicities must be positive";
+        if Varset.equal w (Varset.full n) then
+          invalid_arg "Relation.of_normal_steps: W must be proper";
+        if c > max_factors - m then
+          invalid_arg "Relation.of_normal_steps: too many factors for the bit code";
+        (* factors m .. m+c-1 are copies of P_W *)
+        let bits = ((1 lsl c) - 1) lsl m in
+        for i = 0 to n - 1 do
+          if not (Varset.mem i w) then masks.(i) <- masks.(i) lor bits
+        done;
+        m + c)
+      0 coeffs
   in
-  match factors with
-  | [] ->
-    (* Empty product: the single constant row. *)
-    of_list ~arity:n [ Array.make n (Value.Int 0) ]
-  | first :: rest -> List.fold_left domain_product first rest
+  let rows =
+    List.init (1 lsl m) (fun b -> Array.map (fun mask -> Value.Int (b land mask)) masks)
+  in
+  { arity = n; rows = RSet.of_list rows }
 
 let normal_of_map ~psi p =
   let rows =

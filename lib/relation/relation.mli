@@ -70,7 +70,20 @@ val of_normal_steps : n:int -> (Varset.t * int) list -> t
 (** The normal relation [P_{W₁} ⊗ ... ⊗ P_{Wₘ}] realizing the normal
     entropic function [Σ cᵢ·h_{Wᵢ}] with positive integer multiplicities
     [cᵢ] (each [Wᵢ] repeated [cᵢ] times).
-    @raise Invalid_argument on non-positive multiplicities. *)
+
+    The [2^m] rows (m = Σ cᵢ factors) are bit-coded: row [b ∈ [0, 2^m)]
+    holds [Int (b land maskᵢ)] on column [i], where bit [j] of [maskᵢ]
+    is set iff [i ∉ Wⱼ], i.e. iff the two rows of the j-th factor differ
+    on [i].  Definition B.1's row for [b] holds on column [i] the nested
+    pair whose j-th leaf is 2 exactly when bit [j] of [b land maskᵢ] is
+    set (1 otherwise), so sending that pair to [b land maskᵢ] is one
+    injective renaming of the whole domain: cardinality, every marginal
+    entropy and every homomorphism count into [Π_Q(P)] are those of the
+    [domain_product] fold over [step_relation]s.  [m = 0] gives the
+    single all-zero row.
+    @raise Invalid_argument on non-positive multiplicities, on a [Wᵢ]
+    that is the full column set, or when [m > Sys.int_size - 2] (the
+    bit code would overflow). *)
 
 val normal_of_map : psi:Varset.t array -> t -> t
 (** [normal_of_map ~psi p] is [{ψ·f | f ∈ p}] (Definition 3.3): output

@@ -55,8 +55,6 @@ type error = { id : Json.t; kind : error_kind; message : string }
 
 (* ---------------- request parsing ---------------- *)
 
-let default_max_factors = 14
-
 let parse_line line =
   match Json.parse line with
   | exception Json.Parse_error msg ->
@@ -108,9 +106,10 @@ let parse_line line =
                 let max_factors =
                   match Json.find_opt "max_factors" j with
                   | Some (Json.Num f)
-                    when Float.is_integer f && f >= 1.0 && f <= 62.0 ->
+                    when Float.is_integer f && f >= 1.0
+                         && f <= float_of_int Containment.max_factors_cap ->
                     Ok (int_of_float f)
-                  | None -> Ok default_max_factors
+                  | None -> Ok Containment.default_max_factors
                   | Some _ -> Error ()
                 in
                 let want_certificate =
@@ -121,7 +120,10 @@ let parse_line line =
                 in
                 (match (max_factors, want_certificate) with
                  | Error (), _ ->
-                   bad "\"max_factors\" must be an integer in [1,62]"
+                   bad
+                     (Printf.sprintf
+                        "\"max_factors\" must be an integer in [1,%d]"
+                        Containment.max_factors_cap)
                  | _, Error () -> bad "\"certificate\" must be a boolean"
                  | Ok max_factors, Ok want_certificate ->
                    Ok

@@ -16,6 +16,11 @@
     {"id":ID, "op":"shutdown"}
     v}
 
+    [max_factors] must be an integer in [1, {!Bagcqc_core.Containment.max_factors_cap}]
+    (16); it defaults to {!Bagcqc_core.Containment.default_max_factors}
+    (14).  A budget of [m] factors may build a [2^m]-row witness, so a
+    larger value is a [bad_request].
+
     [deadline_ms] is a relative budget: a [check] still queued when it
     expires is answered with a [deadline_exceeded] error instead of
     being solved (admission-time and dequeue-time checks; a request

@@ -1,16 +1,21 @@
 #!/usr/bin/env python3
-"""Benchmark smoke gate: a short frontier run whose re-checks must pass.
+"""Benchmark smoke gate: short benchmark runs whose re-checks must pass.
 
     python3 scripts/bench_smoke.py
 
-Runs `perfbench/run.py --workload frontier --seed 7919 --seconds 2
---trace 0` from the root of the checkout and exits nonzero unless the
-run succeeded and its result line (the last line of standard output)
-reports "correct": true and "failed": 0.  The benchmark re-checks every
-decision without the LP: Farkas certificates by Certificate.check,
-containment witnesses by recounting, refuters by cone membership.  It
-exits 0 even when a re-check fails, so its exit status alone is not a
-gate.
+Runs, from the root of the checkout,
+
+    perfbench/run.py --workload frontier --seed 7919 --seconds 2 --trace 0
+    perfbench/run.py --workload fleet --seed 202 --seconds 2 --trace 0
+
+and exits nonzero unless each run succeeded and its result line (the
+last line of standard output) reports "correct": true and "failed": 0.
+The benchmark re-checks every decision without the LP: Farkas
+certificates by Certificate.check, containment witnesses by recounting,
+refuters by cone membership.  It exits 0 even when a re-check fails, so
+its exit status alone is not a gate.  Fleet seed 202 draws the pair
+T(X1),T(X2),T(X3) vs T(X1),T(X2), whose witness has 4,096 rows, so the
+recount of a large bit-coded normal witness runs on every push.
 """
 
 import json
@@ -19,29 +24,36 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-CMD = [sys.executable, os.path.join("perfbench", "run.py"),
-       "--workload", "frontier", "--seed", "7919", "--seconds", "2",
-       "--trace", "0"]
+RUNS = [("frontier", "7919"), ("fleet", "202")]
 
 
-def main():
-    run = subprocess.run(CMD, cwd=ROOT, stdout=subprocess.PIPE, text=True)
+def run_one(workload, seed):
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"),
+           "--workload", workload, "--seed", seed, "--seconds", "2",
+           "--trace", "0"]
+    tag = f"bench-smoke [{workload} seed {seed}]"
+    run = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True)
     lines = run.stdout.strip().splitlines()
     if run.returncode != 0 or not lines:
-        print(f"bench-smoke: run.py exited {run.returncode}", file=sys.stderr)
-        return 1
+        print(f"{tag}: run.py exited {run.returncode}", file=sys.stderr)
+        return False
     try:
         result = json.loads(lines[-1])
     except ValueError:
-        print(f"bench-smoke: unparsable result line: {lines[-1]!r}",
+        print(f"{tag}: unparsable result line: {lines[-1]!r}",
               file=sys.stderr)
-        return 1
+        return False
     print(lines[-1])
     if result.get("correct") is not True or result.get("failed") != 0:
-        print(f"bench-smoke: correct={result.get('correct')} "
+        print(f"{tag}: correct={result.get('correct')} "
               f"failed={result.get('failed')}", file=sys.stderr)
-        return 1
-    return 0
+        return False
+    return True
+
+
+def main():
+    ok = [run_one(workload, seed) for workload, seed in RUNS]
+    return 0 if all(ok) else 1
 
 
 if __name__ == "__main__":

@@ -16,7 +16,9 @@ and prints, per record, a summary line plus a per-stratum table ready to
 paste into EXPERIMENTS.md.  With --summary-only, prints just a
 cross-record comparison table (one row per record) — the shape used for
 the engine-matrix audit section.  Exits 1 if any record reports a
-verdict mismatch or certificate failure, so CI can gate on it.
+verdict mismatch or evidence failure (the "cert_failures" field: a
+certificate, witness or refuter that failed its exact re-check), so CI
+can gate on it.
 
 stdlib only; no third-party imports.
 """
@@ -136,11 +138,11 @@ def main():
     for rec in records:
         bad += int(rec["mismatches"]) + int(rec["cert_failures"])
     if bad:
-        print(f"AUDIT FAILURE: {bad} mismatch/certificate failure(s) "
+        print(f"AUDIT FAILURE: {bad} mismatch/evidence failure(s) "
               f"across {len(records)} record(s)", file=sys.stderr)
         return 1
     print(f"audit clean: {len(records)} record(s), 0 mismatches, "
-          f"0 certificate failures", file=sys.stderr)
+          f"0 evidence failures", file=sys.stderr)
     return 0
 
 

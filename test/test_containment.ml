@@ -234,6 +234,32 @@ let test_locality_property () =
   Alcotest.(check bool) "acyclic: locality for parity too" true
     (Witness.locality_holds q1 q2 parity ~phi:[| 0; 1; 2 |])
 
+(* The pure-unary pair whose witness is 2^12 rows: the bit-coded normal
+   relation must keep the verdict and the (|P|, hom(Q2,D)) pair, and an
+   independent count of hom(Q1,D) must reach |P| (Fact 3.2). *)
+let test_unary_pair_witness () =
+  let q1 = Parser.parse "T(X1),T(X2),T(X3)" and q2 = Parser.parse "T(X1),T(X2)" in
+  match Containment.decide q1 q2 with
+  | Containment.Not_contained w ->
+    Alcotest.(check int) "|P|" 4096 w.Containment.card_p;
+    Alcotest.(check int) "hom(Q2,D)" 2304 w.Containment.hom2;
+    Alcotest.(check int) "witness relation size" 4096
+      (Relation.cardinal w.Containment.p);
+    Alcotest.(check bool) "hom(Q1,D) >= |P|" true
+      (Hom.count q1 w.Containment.db >= w.Containment.card_p);
+    Alcotest.(check int) "hom(Q2,D) recount" 2304 (Hom.count q2 w.Containment.db)
+  | _ -> Alcotest.fail "T(X1),T(X2),T(X3) is not contained in T(X1),T(X2)"
+
+(* One more unary atom needs 28 factors: at the serving cap the witness
+   search gives up with Unknown instead of materializing 2^28 rows. *)
+let test_max_factors_cap () =
+  let q1 = Parser.parse "T(X1),T(X2),T(X3),T(X4)"
+  and q2 = Parser.parse "T(X1),T(X2),T(X3)" in
+  match Containment.decide ~max_factors:Containment.max_factors_cap q1 q2 with
+  | Containment.Unknown { refuter = Some h; _ } ->
+    Alcotest.(check bool) "normal refuter kept" true (Polymatroid.is_normal h)
+  | _ -> Alcotest.fail "expected Unknown at the max_factors cap"
+
 (* Lemma E.1's locality property as a qcheck property: random normal
    relations vs the chordal triangle query. *)
 let prop_locality_normal =
@@ -385,5 +411,7 @@ let suite =
     ("eq8 requires boolean", `Quick, test_eq8_requires_boolean);
     ("scale_steps", `Quick, test_scale_steps);
     ("witness from normal (Ex 3.5)", `Quick, test_witness_from_normal_direct);
-    ("domination", `Quick, test_domination); ("witness theory (Thm 3.4)", `Quick, test_witness_theorem_3_4); ("set semantics contrast", `Quick, test_set_semantics_contrast); ("locality (Ex E.2, Lemma E.1)", `Quick, test_locality_property) ]
+    ("domination", `Quick, test_domination); ("witness theory (Thm 3.4)", `Quick, test_witness_theorem_3_4); ("set semantics contrast", `Quick, test_set_semantics_contrast); ("locality (Ex E.2, Lemma E.1)", `Quick, test_locality_property);
+    ("unary pair: 4096-row witness", `Quick, test_unary_pair_witness);
+    ("max_factors cap gives Unknown", `Quick, test_max_factors_cap) ]
   @ qtests

@@ -101,6 +101,26 @@ let test_of_normal_steps () =
       let expected = Logint.scale (Polymatroid.value h x) (Logint.log_int 2) in
       Alcotest.(check bool) "matches polymatroid" true (Logint.equal e expected))
 
+let test_of_normal_steps_bit_code () =
+  (* Row b holds b land maskᵢ on column i, with bit j of maskᵢ set iff
+     i ∉ Wⱼ: here W₀ = {0}, W₁ = {1,2}, so mask₀ = 0b10, mask₁ = mask₂ = 0b01. *)
+  let p = Relation.of_normal_steps ~n:3 [ (vs [ 0 ], 1); (vs [ 1; 2 ], 1) ] in
+  Alcotest.(check (list (list int))) "rows"
+    [ [ 0; 0; 0 ]; [ 0; 1; 1 ]; [ 2; 0; 0 ]; [ 2; 1; 1 ] ]
+    (List.map
+       (fun row ->
+         Array.to_list
+           (Array.map (function Value.Int i -> i | _ -> -1) row))
+       (Relation.to_list p));
+  Alcotest.(check int) "no factor: one all-zero row" 1
+    (Relation.cardinal (Relation.of_normal_steps ~n:2 []));
+  Alcotest.check_raises "too many factors for the bit code"
+    (Invalid_argument "Relation.of_normal_steps: too many factors for the bit code")
+    (fun () -> ignore (Relation.of_normal_steps ~n:2 [ (vs [ 0 ], 40); (vs [ 1 ], 40) ]));
+  Alcotest.check_raises "full W"
+    (Invalid_argument "Relation.of_normal_steps: W must be proper")
+    (fun () -> ignore (Relation.of_normal_steps ~n:2 [ (vs [ 0; 1 ], 1) ]))
+
 let test_parity_relation () =
   (* Example E.2 / B.4: the parity relation is totally uniform and its
      entropy is the (non-normal) parity function. *)
@@ -167,6 +187,46 @@ let prop_normal_relations_uniform =
       let p = Relation.of_normal_steps ~n merged in
       Relation.is_totally_uniform p)
 
+(* The bit-coded of_normal_steps against Definition B.1's reference
+   construction, the fold of domain_product over step_relation: same
+   cardinality and the same |Π_X P| for every column set X. *)
+let prop_bit_coded_matches_domain_product =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 1 5 in
+      let* steps =
+        list_size (int_range 0 4)
+          (pair (int_range 0 ((1 lsl n) - 2)) (int_range 1 2))
+      in
+      return (n, steps))
+  in
+  QCheck.Test.make ~name:"bit-coded normal relation = domain-product fold"
+    ~count:100
+    (QCheck.make
+       ~print:(fun (n, l) ->
+         Printf.sprintf "n=%d [%s]" n
+           (String.concat "; "
+              (List.map (fun (w, c) -> Printf.sprintf "%d×%d" w c) l)))
+       gen)
+    (fun (n, steps) ->
+      let p = Relation.of_normal_steps ~n steps in
+      let reference =
+        match
+          List.concat_map
+            (fun (w, c) -> List.init c (fun _ -> Relation.step_relation ~n w))
+            steps
+        with
+        | [] -> Relation.of_int_rows ~arity:n [ List.init n (fun _ -> 0) ]
+        | first :: rest -> List.fold_left Relation.domain_product first rest
+      in
+      let same = ref (Relation.cardinal p = Relation.cardinal reference) in
+      Varset.iter_subsets (Varset.full n) (fun x ->
+          if
+            Relation.cardinal (Relation.project_set x p)
+            <> Relation.cardinal (Relation.project_set x reference)
+          then same := false);
+      !same)
+
 let prop_projection_composes =
   QCheck.Test.make ~name:"projection composes: Π_ψ(Π_φ P) = Π_{φ∘ψ} P" ~count:100
     (QCheck.make
@@ -185,7 +245,8 @@ let prop_projection_composes =
 
 let qtests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_normal_relations_uniform; prop_projection_composes ]
+    [ prop_normal_relations_uniform; prop_bit_coded_matches_domain_product;
+      prop_projection_composes ]
 
 let test_value_hash () =
   let open Value in
@@ -224,6 +285,7 @@ let suite =
     ("domain product adds entropies (Table 1)", `Quick, test_domain_product_entropy_adds);
     ("normal relation (Def 3.3)", `Quick, test_normal_relation_def_3_3);
     ("of_normal_steps", `Quick, test_of_normal_steps);
+    ("of_normal_steps bit code", `Quick, test_of_normal_steps_bit_code);
     ("parity relation (Ex E.2)", `Quick, test_parity_relation);
     ("non-uniform relation", `Quick, test_not_totally_uniform);
     ("degree (Lemma 4.6)", `Quick, test_degree_lemma_4_6) ]

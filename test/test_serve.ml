@@ -59,6 +59,14 @@ let test_parse_errors () =
     {|{"op":"check","q1":"R(x,","q2":"R(x,y)"}|};
   expect_kind "max_factors zero" Protocol.Bad_request
     {|{"op":"check","q1":"R(x,y)","q2":"R(x,y)","max_factors":0}|};
+  expect_kind "max_factors over the cap" Protocol.Bad_request
+    {|{"op":"check","q1":"R(x,y)","q2":"R(x,y)","max_factors":17}|};
+  (match
+     Protocol.parse_line
+       {|{"op":"check","q1":"R(x,y)","q2":"R(x,y)","max_factors":16}|}
+   with
+   | Ok { Protocol.request = Protocol.Check { max_factors = 16; _ }; _ } -> ()
+   | _ -> Alcotest.fail "max_factors at the cap must parse");
   expect_kind "max_factors fractional" Protocol.Bad_request
     {|{"op":"check","q1":"R(x,y)","q2":"R(x,y)","max_factors":3.5}|};
   expect_kind "negative deadline" Protocol.Bad_request
