@@ -115,9 +115,10 @@ corpus-smoke: build
 	python3 scripts/sweep_tables.py $(SMOKE_OUT)/sweep.jsonl
 
 # Benchmark smoke (what CI's bench-smoke job runs): 2-second frontier
-# (holdout seed 7919) and fleet (seed 202, which draws a 4,096-row
-# witness) runs that fail unless every decision re-checks (Farkas
-# certificates, witness recounts, refuter membership) and none failed.
+# (holdout seed 7919), fleet (seed 202, which draws a 4,096-row
+# witness) and serve (seed 7919, over a daemon's socket) runs that fail
+# unless every decision re-checks (Farkas certificates, witness
+# recounts, refuter membership) and none failed.
 # See scripts/bench_smoke.py.
 bench-smoke:
 	python3 scripts/bench_smoke.py

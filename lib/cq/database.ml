@@ -46,11 +46,8 @@ let canonical q =
     empty (Query.atoms q)
 
 let project_annotated q cols p =
-  let tags = Array.map (Query.var_name q) cols in
-  Relation.of_list ~arity:(Array.length cols)
-    (List.map
-       (Array.mapi (fun j v -> Value.Tag (tags.(j), v)))
-       (Relation.to_list (Relation.project cols p)))
+  Relation.tag_columns (Array.map (Query.var_name q) cols)
+    (Relation.project cols p)
 
 let of_vrelation ?(annotate = false) q p =
   if Relation.arity p <> Query.nvars q then

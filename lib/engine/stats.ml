@@ -34,6 +34,7 @@ type snapshot = {
   lazy_rounds : int;
   lazy_cuts : int;
   lazy_fallbacks : int;
+  lazy_dual_fallbacks : int;
   orbit_cuts : int;
   orbit_canonicalized : int;
   stages : (string * float) list;
@@ -61,6 +62,7 @@ let c_lazy_solves = Obs.Metrics.counter "cone.lazy.solves"
 let c_lazy_rounds = Obs.Metrics.counter "cone.lazy.rounds"
 let c_lazy_cuts = Obs.Metrics.counter "cone.lazy.cuts"
 let c_lazy_fallbacks = Obs.Metrics.counter "cone.lazy.fallbacks"
+let c_lazy_dual_fallbacks = Obs.Metrics.counter "cone.lazy.dual_fallbacks"
 let c_orbit_cuts = Obs.Metrics.counter "cone.orbit.cuts"
 let c_orbit_canonicalized = Obs.Metrics.counter "cone.orbit.canonicalized"
 
@@ -135,6 +137,7 @@ let snapshot () =
     lazy_rounds = Obs.Metrics.count c_lazy_rounds;
     lazy_cuts = Obs.Metrics.count c_lazy_cuts;
     lazy_fallbacks = Obs.Metrics.count c_lazy_fallbacks;
+    lazy_dual_fallbacks = Obs.Metrics.count c_lazy_dual_fallbacks;
     orbit_cuts = Obs.Metrics.count c_orbit_cuts;
     orbit_canonicalized = Obs.Metrics.count c_orbit_canonicalized;
     stages =
@@ -218,9 +221,9 @@ let pp fmt s =
   if s.lazy_solves > 0 then
     Format.fprintf fmt
       "  lazy cone:          %d decisions, %d rounds, %d cuts (%d via \
-       orbits), %d canonicalized, %d fallbacks@."
+       orbits), %d canonicalized, %d fallbacks, %d dual fallbacks@."
       s.lazy_solves s.lazy_rounds s.lazy_cuts s.orbit_cuts
-      s.orbit_canonicalized s.lazy_fallbacks;
+      s.orbit_canonicalized s.lazy_fallbacks s.lazy_dual_fallbacks;
   (* Only when a persistent store was in play: runs without --store /
      serve keep the historical output byte-for-byte. *)
   if s.store_hits + s.store_misses + s.store_appends + s.store_loaded

@@ -36,6 +36,9 @@ type snapshot = {
   lazy_fallbacks : int;
       (** lazy certificates rejected by the exact check and re-derived
           (expected 0; any bump is a repaired solver bug) *)
+  lazy_dual_fallbacks : int;
+      (** restricted Farkas LPs the lazy driver solved: exact-round
+          validity, or a float probe's duals that did not certify *)
   orbit_cuts : int;
       (** cuts added as symmetry-orbit images of a violated cut, beyond
           the violated cut itself *)

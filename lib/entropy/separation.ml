@@ -9,10 +9,11 @@
      loop:
        solve  R(W) = { elem_d(h) ≥ 0 ∀d ∈ W,  Eℓ(h) ≤ −1 ∀ℓ }
        infeasible ⇒ the max-inequality is valid over the W-cone, a
-         superset of Γn, hence valid over Γn.  Certificate: the
-         restricted Farkas system F(W) (feasible by LP duality over the
-         W-cone) yields λ over W ⊆ elemental family, so the assembled
-         [Certificate.t] passes the unchanged exact [Certificate.check].
+         superset of Γn, hence valid over Γn.  Certificate: Farkas
+         multipliers of R(W) — a solution of the restricted Farkas
+         system F(W), feasible by LP duality over the W-cone — give λ
+         over W ⊆ elemental family, so the assembled [Certificate.t]
+         passes the unchanged exact [Certificate.check].
 
    Intermediate rounds run in pure floats ([Simplex.solve_float]): the
    per-round point only steers which cuts enter W, so it needs no exact
@@ -20,12 +21,16 @@
    paying one exact repair per round against the full driver's one per
    decision.  Exact arithmetic appears only at terminal rounds, on the
    small working set:
-     - float probe infeasible ⇒ certify: solve F(W) through the hybrid
-       engine and accept iff the assembled certificate passes the exact
-       [Certificate.check] — that check proves validity unconditionally,
-       so the float infeasibility claim is never trusted.  F(W)
-       infeasible means the probe lied: fall through to one exact R(W)
-       round and keep cutting.
+     - float probe infeasible ⇒ certify: rationalize the probe's own
+       phase-1 row duals into λ, μ and an exact ν, and accept iff the
+       assembled certificate passes the exact [Certificate.check] —
+       that check proves validity unconditionally, so neither the float
+       infeasibility claim nor its duals are ever trusted.  Duals that
+       do not certify fall back to solving F(W) through the hybrid
+       engine; F(W) infeasible means the probe lied: fall through to
+       one exact R(W) round and keep cutting.  An exact round that
+       finds R(W) infeasible has no float duals and certifies through
+       F(W) too.
      - float probe optimal with no float-violated cut ⇒ one exact
        hybrid R(W) round: its exact point either passes the exact
        separation scan (genuine refuter) or yields exact cuts the float
@@ -63,18 +68,19 @@
    defensive invariant enforces the bound.
 
    Symmetry: the instance is first canonicalized modulo variable
-   permutation ([Symmetry.analyze]), so every per-round LP — keyed on
-   the canonical [Engine.Problem] — hits the sharded solver cache and
-   the persistent store across all symmetric variants of a query.
+   permutation ([Symmetry.analyze]), so every exact round and F(W)
+   solve — keyed on the canonical [Engine.Problem] and routed through
+   [Solver.solve_using] — hits the sharded solver cache and the
+   persistent store across all symmetric variants of a query.  The
+   float probes bypass both.
    Verdicts are mapped back through the permutation: refuters by
    relabeling the point, certificates by renaming λ's axioms (the
    elemental family is closed under permutation).
 
-   Trust model: unchanged.  Every LP a verdict rests on goes through
-   the hybrid engine whose answers are exact after repair (float probes
-   decide nothing — they only choose cuts and when to attempt the
-   terminal solves); validity carries a Farkas certificate judged by
-   the same LP-independent [Certificate.check] as the full driver, and
+   Trust model: unchanged.  Float probes decide nothing — their points
+   choose cuts, and their duals only propose a certificate; validity
+   carries a Farkas certificate judged by the same LP-independent
+   [Certificate.check] as the full driver, and
    refuters satisfy every elemental inequality by exact evaluation (the
    exact separation scan found no violation).  The full-materialization
    driver remains available as the cross-checked oracle
@@ -91,6 +97,7 @@ let c_solves = Obs.Metrics.counter "cone.lazy.solves"
 let c_rounds = Obs.Metrics.counter "cone.lazy.rounds"
 let c_cuts = Obs.Metrics.counter "cone.lazy.cuts"
 let c_fallbacks = Obs.Metrics.counter "cone.lazy.fallbacks"
+let c_dual_fallbacks = Obs.Metrics.counter "cone.lazy.dual_fallbacks"
 let c_orbit_cuts = Obs.Metrics.counter "cone.orbit.cuts"
 let c_canonicalized = Obs.Metrics.counter "cone.orbit.canonicalized"
 
@@ -290,12 +297,21 @@ type 'a verdict =
    defers real cuts to the exact round — never a soundness input. *)
 let float_eps = 1e-7
 
-(* Flattened per-n scan table: descriptor idx scores
-   h(s1) + h(s2) − h(s3) − h(s4) with the four masks at [masks.(4·idx)..],
-   mask 0 standing for the empty set (h = 0).  Mono i is
-   (full, ∅, full∖i, ∅); Submod (i,j,b) is (b∪i, b∪j, b∪i∪j, b).  Built
-   once per n: the float scan runs on every optimal probe and must not
-   re-allocate the descriptor stream each round. *)
+(* The four masks of an elemental descriptor's expression
+   h(s1) + h(s2) − h(s3) − h(s4), mask 0 standing for the empty set
+   (h = 0): Mono i is (full, ∅, full∖i, ∅); Submod (i,j,b) is
+   (b∪i, b∪j, b∪i∪j, b). *)
+let desc_masks ~n = function
+  | Elemental.Mono i ->
+    let full = Varset.full n in
+    (full, 0, Varset.remove i full, 0)
+  | Elemental.Submod (i, j, b) ->
+    (Varset.add i b, Varset.add j b, Varset.add j (Varset.add i b), b)
+
+(* Flattened per-n scan table: descriptor idx scores its [desc_masks]
+   at [masks.(4·idx)..].  Built once per n: the float scan runs on every
+   optimal probe and must not re-allocate the descriptor stream each
+   round. *)
 let scan_tbl_mutex = Mutex.create ()
 
 let scan_tbls : (int, Elemental.desc array * int array) Hashtbl.t =
@@ -314,16 +330,11 @@ let scan_table ~n =
     Array.iteri
       (fun idx d ->
         let o = 4 * idx in
-        match d with
-        | Elemental.Mono i ->
-          let full = Varset.full n in
-          masks.(o) <- full;
-          masks.(o + 2) <- Varset.remove i full
-        | Elemental.Submod (i, j, b) ->
-          masks.(o) <- Varset.add i b;
-          masks.(o + 1) <- Varset.add j b;
-          masks.(o + 2) <- Varset.add j (Varset.add i b);
-          masks.(o + 3) <- b)
+        let s1, s2, s3, s4 = desc_masks ~n d in
+        masks.(o) <- s1;
+        masks.(o + 1) <- s2;
+        masks.(o + 2) <- s3;
+        masks.(o + 3) <- s4)
       descs;
     let t = (descs, masks) in
     Hashtbl.add scan_tbls n t;
@@ -332,10 +343,12 @@ let scan_table ~n =
 (* Run the loop on the *canonical* instance.  Returns the witness point
    (refutation), the final working set (validity, confirmed by an exact
    R(W) solve), or — when [certify] is provided — whatever it returned
-   for the final working set after a float-infeasible probe.  [certify]
-   receiving W in add order must prove validity on its own authority
-   (Farkas + exact certificate check); [None] sends the loop into an
-   exact round instead of trusting the probe. *)
+   after a float-infeasible probe.  [certify w duals pruned] receives W
+   in add order, the probe's row duals (targets first, then W's rows in
+   add order) and, on demand, the rows the probe's basis kept tight; it
+   must prove validity on its own authority (exact certificate check),
+   and [None] sends the loop into an exact round instead of trusting
+   the probe. *)
 let run ~n ~stabilizer ~certify es =
   let num_vars = (1 lsl n) - 1 in
   let target_rows =
@@ -462,18 +475,18 @@ let run ~n ~stabilizer ~certify es =
     | Simplex.Float_unknown ->
       fwarm := None;
       exact_round round
-    | Simplex.Float_infeasible basis ->
+    | Simplex.Float_infeasible { basis; duals } ->
       fwarm := keep_structural_and_slack basis;
-      let pruned = tight_working_set basis in
+      let pruned = lazy (tight_working_set basis) in
       (match certify with
        | Some f ->
-         (match f pruned with
+         (match f (List.rev !w) duals pruned with
           | Some c -> Certified c
           | None ->
             (* The probe's infeasibility claim did not certify — an
                exact round settles what is actually true of R(W). *)
             exact_round round)
-       | None -> confirm_round pruned round)
+       | None -> confirm_round (Lazy.force pruned) round)
     | Simplex.Float_optimal (xf, basis) ->
       fwarm := keep_structural_and_slack basis;
       let violated = ref [] in
@@ -601,55 +614,136 @@ let valid_max_quick ~n es =
   | Certified () -> true
   | Refuted_at _ -> false
 
-(* Prove validity of the canonical instance over the working set
-   [w_descs] (add order): solve the restricted Farkas system and accept
-   only a certificate the exact [Certificate.check] passes.  [None]
-   means F(W) is infeasible — the caller's infeasibility claim for R(W)
-   was wrong (or, from an exact round, genuinely contradictory). *)
-let certify_working_set ~n ~sym ~es w_descs =
-  let es_c = sym.Symmetry.canonical in
-  let inv = Symmetry.inverse sym.Symmetry.to_canon in
+(* ---------------- certificates ----------------
+
+   Both routes below end in the same assembly: λ accumulates per
+   elemental *descriptor* — the W rows directly, and each positive ν_S
+   expanded through the chain decomposition of h(S) ≥ 0 — sorted for a
+   deterministic rendering.  Sides are the caller's original
+   expressions: renaming the canonical identity Σλ·a = Σμ·Eᶜ through
+   π⁻¹ lands exactly on them, and the renamed axioms stay elemental (the
+   family is closed under permutation), so [Certificate.check] applies
+   unchanged. *)
+let assemble ~n ~rename ~sides ~w_lambda ~nu ~mu =
+  let tbl : (Elemental.desc, Rat.t ref) Hashtbl.t = Hashtbl.create 64 in
+  let bump d c =
+    match Hashtbl.find_opt tbl d with
+    | Some r -> r := Rat.add !r c
+    | None -> Hashtbl.add tbl d (ref c)
+  in
+  List.iter (fun (d, c) -> if Rat.sign c > 0 then bump d c) w_lambda;
+  Array.iteri
+    (fun i v ->
+      if Rat.sign v > 0 then
+        List.iter (fun d -> bump d v) (nonneg_decomp ~n (i + 1)))
+    nu;
+  let lambda =
+    Hashtbl.fold (fun d r acc -> (d, !r) :: acc) tbl []
+    |> List.filter (fun (_, c) -> Rat.sign c > 0)
+    |> List.sort (fun (d1, _) (d2, _) -> Elemental.desc_compare d1 d2)
+    |> List.map (fun (d, c) -> (rename (Elemental.expr_of_desc ~n d), c))
+  in
+  Certificate.make ~n ~cone:"gamma" ~sides ~lambda ~mu
+
+(* From the probe's duals.  Every R(W) row is a Le row, so the float
+   duals y are ≤ 0 and m = −y are Farkas multipliers: up to tolerance
+     Σℓ mℓ·Eℓ − Σ_d m_d·a_d ≥ 0 componentwise,   Σℓ mℓ > 0,
+   which is F(W)'s identity once scaled by 1/Σℓ mℓ, with the
+   componentwise slack as ν.  A basis's duals are rationals with small
+   denominators, so continued fractions recover them; ν is then
+   recomputed exactly and the certificate faces the exact
+   [Certificate.check] in every LP mode.  A multiplier with no
+   small-denominator neighbour, a negative ν_S or a rejected check
+   yields [None] — the caller then falls back to F(W). *)
+let dual_max_den = 1 lsl 20
+let dual_tol = 1e-9
+
+let multiplier_of_float v =
+  if v -. v <> 0.0 || v < -.dual_tol || v > 1e9 then None
+  else if v <= dual_tol then Some Rat.zero
+  else
+    (* Continued-fraction convergents h/k of v; (h1, k1) is the latest,
+       (h0, k0) the one before.  k at least doubles every two steps, so
+       the bound ends the walk within a few dozen steps. *)
+    let rec go x h1 k1 h0 k0 =
+      let a = Float.floor x in
+      if (a *. float_of_int k1) +. float_of_int k0 > float_of_int dual_max_den
+      then None
+      else
+        let ai = int_of_float a in
+        let h = (ai * h1) + h0 and k = (ai * k1) + k0 in
+        if Float.abs (v -. (float_of_int h /. float_of_int k)) <= dual_tol
+        then Some (Rat.of_ints h k)
+        else
+          let frac = x -. a in
+          if frac <= 0.0 then None else go (1.0 /. frac) h k h1 k1
+    in
+    go v 1 0 0 1
+
+let dual_certificate ~n ~rename ~sides es_c w_descs duals =
+  let k = List.length es_c in
+  let exception Reject in
+  try
+    if Array.length duals <> k + List.length w_descs then raise Reject;
+    let m i =
+      match multiplier_of_float (-.duals.(i)) with
+      | Some r -> r
+      | None -> raise Reject
+    in
+    let raw_mu = List.init k m in
+    let total = List.fold_left Rat.add Rat.zero raw_mu in
+    if Rat.sign total <= 0 then raise Reject;
+    let scale = Rat.inv total in
+    let mu = List.map (Rat.mul scale) raw_mu in
+    let nu = Array.make ((1 lsl n) - 1) Rat.zero in
+    let add mask c = if mask <> 0 then nu.(mask - 1) <- Rat.add nu.(mask - 1) c in
+    List.iter2
+      (fun e mu_l ->
+        if Rat.sign mu_l > 0 then
+          List.iter (fun (s, c) -> add s (Rat.mul mu_l c)) (Linexpr.terms e))
+      es_c mu;
+    let w_lambda = List.mapi (fun j d -> (d, Rat.mul scale (m (k + j)))) w_descs in
+    List.iter
+      (fun (d, lam) ->
+        if Rat.sign lam > 0 then begin
+          let s1, s2, s3, s4 = desc_masks ~n d in
+          let neg = Rat.neg lam in
+          add s1 neg;
+          add s2 neg;
+          add s3 lam;
+          add s4 lam
+        end)
+      w_lambda;
+    if Array.exists (fun v -> Rat.sign v < 0) nu then raise Reject;
+    let cert = assemble ~n ~rename ~sides ~w_lambda ~nu ~mu in
+    if Certificate.check cert then Some cert else None
+  with Reject -> None
+
+let certificate_of_duals ~n es w_descs duals =
+  dual_certificate ~n ~rename:Fun.id ~sides:es es w_descs duals
+
+(* From the restricted Farkas LP F(W) over [w_descs]: the fallback for
+   an exact round's Valid verdict, which has no float duals, and for
+   duals that did not certify.  Accepts only a certificate the exact
+   [Certificate.check] passes.  [None] means F(W) is infeasible — the
+   caller's infeasibility claim for R(W) was wrong (or, from an exact
+   round, genuinely contradictory). *)
+let farkas_certificate ~n ~rename ~sides es_c w_descs =
+  Obs.Metrics.bump c_dual_fallbacks;
   let axioms = List.map (Elemental.expr_of_desc ~n) w_descs in
   let n_ax = List.length axioms in
-  let k = List.length es in
-  let nv = (1 lsl n) - 1 in
+  let k = List.length es_c in
   let fprob = farkas_of_axioms ~n axioms es_c in
-  let assemble x =
-    (* λ accumulates per elemental *descriptor*: the W columns
-       directly, and each positive ν_S expanded through the chain
-       decomposition of h(S) ≥ 0.  Sorted for a deterministic
-       certificate rendering. *)
-    let tbl : (Elemental.desc, Rat.t ref) Hashtbl.t = Hashtbl.create 64 in
-    let bump d c =
-      match Hashtbl.find_opt tbl d with
-      | Some r -> r := Rat.add !r c
-      | None -> Hashtbl.add tbl d (ref c)
-    in
-    List.iteri (fun i d -> if Rat.sign x.(i) > 0 then bump d x.(i)) w_descs;
-    for s = 1 to nv do
-      let nu = x.(n_ax + k + s - 1) in
-      if Rat.sign nu > 0 then
-        List.iter (fun d -> bump d nu) (nonneg_decomp ~n s)
-    done;
-    let lambda =
-      Hashtbl.fold (fun d r acc -> (d, !r) :: acc) tbl []
-      |> List.filter (fun (_, c) -> Rat.sign c > 0)
-      |> List.sort (fun (d1, _) (d2, _) -> Elemental.desc_compare d1 d2)
-      |> List.map (fun (d, c) ->
-             (Symmetry.apply_expr inv (Elemental.expr_of_desc ~n d), c))
-    in
-    let mu = List.init k (fun l -> x.(n_ax + l)) in
-    (* Sides are the caller's original expressions: renaming the
-       canonical identity Σλ·a = Σμ·Eᶜ through π⁻¹ lands exactly on
-       them, and the renamed axioms stay elemental (the family is
-       closed under permutation), so [Certificate.check] applies
-       unchanged. *)
-    Certificate.make ~n ~cone:"gamma" ~sides:es ~lambda ~mu
+  let assemble_at x =
+    assemble ~n ~rename ~sides
+      ~w_lambda:(List.mapi (fun i d -> (d, x.(i))) w_descs)
+      ~nu:(Array.sub x (n_ax + k) ((1 lsl n) - 1))
+      ~mu:(List.init k (fun l -> x.(n_ax + l)))
   in
   match Solver.feasible fprob with
   | None -> None
   | Some x ->
-    let cert = assemble x in
+    let cert = assemble_at x in
     (* Same defense-in-depth as the full driver (DESIGN.md §4f/§4i):
        under float-first, accept only certificates that pass the
        exact check; a rejection is a solver bug repaired by an exact
@@ -662,7 +756,7 @@ let certify_working_set ~n ~sym ~es w_descs =
       match
         Simplex.solve ~mode:Simplex.Exact (Problem.to_simplex fprob)
       with
-      | Simplex.Optimal (_, x) -> Some (assemble x)
+      | Simplex.Optimal (_, x) -> Some (assemble_at x)
       | Simplex.Infeasible | Simplex.Unbounded ->
         Bagcqc_error.invariant ~where
           "float-first lazy Farkas point rejected by Certificate.check \
@@ -673,10 +767,16 @@ let valid_max_cert ~n es =
   with_span ~n ~kind:"cert" es @@ fun () ->
   Obs.Metrics.bump c_solves;
   let sym = analyze ~n es in
-  let certify = certify_working_set ~n ~sym ~es in
+  let es_c = sym.Symmetry.canonical in
+  let rename = Symmetry.apply_expr (Symmetry.inverse sym.Symmetry.to_canon) in
+  let farkas = farkas_certificate ~n ~rename ~sides:es es_c in
+  let certify w duals pruned =
+    match dual_certificate ~n ~rename ~sides:es es_c w duals with
+    | Some cert -> Some cert
+    | None -> farkas (Lazy.force pruned)
+  in
   match
-    run ~n ~stabilizer:sym.Symmetry.stabilizer ~certify:(Some certify)
-      sym.Symmetry.canonical
+    run ~n ~stabilizer:sym.Symmetry.stabilizer ~certify:(Some certify) es_c
   with
   | Refuted_at x -> Error (refuter_of_point ~n ~sym x)
   | Certified cert -> Ok cert
@@ -685,7 +785,7 @@ let valid_max_cert ~n es =
        went Float_unknown / cut-less optimal, or whose certify attempt
        failed).  F(W) is then feasible by duality over the W-cone; both
        empty means the two independently-built LPs disagree. *)
-    (match certify (List.rev w_rev) with
+    (match farkas (List.rev w_rev) with
      | Some cert -> Ok cert
      | None ->
        Bagcqc_error.invariant ~where

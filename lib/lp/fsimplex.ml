@@ -10,7 +10,10 @@
    reconstructs the exact rational solution and dual multipliers for that
    basis and accepts the verdict only if it verifies exactly; anything
    this module gets wrong costs a fallback to the exact engine, never a
-   wrong answer.
+   wrong answer.  [propose_point] also hands back the float data of the
+   final tableau — the primal point of an optimal basis, or the row
+   duals of an infeasible phase 1 — for callers that check whatever
+   they build from it exactly.
 
    Sparsity: the Γn systems this project solves have sparse rows (a
    probe's pivot row has about a dozen nonzeros out of a hundred-odd
@@ -39,6 +42,11 @@ type proposal =
   | Infeasible_basis of int array
   | Unbounded_direction
 
+type probe =
+  | Probe_optimal of { basis : int array; point : float array }
+  | Probe_infeasible of { basis : int array; duals : float array }
+  | Probe_unbounded
+
 let where = "Fsimplex.propose"
 
 (* An entering reduced cost must clear [eps_price] to be considered
@@ -54,7 +62,7 @@ let eps_feas = 1e-7
 let degenerate_limit = 60
 
 exception Numerical of string
-exception Infeasible_at of int array
+exception Infeasible_at of int array * float array
 
 let check_finite_row ~what row =
   let n = Array.length row in
@@ -228,6 +236,32 @@ let crash_warm t ~art_start ~budget warm =
       end)
     warm
 
+(* Row duals of an infeasible phase 1, read off its final objective row.
+   Phase 1 prices the artificials at 1 and everything else at 0, so a
+   column's reduced cost is d = c − yᵀA: a Le row's slack (+eᵢ) gives
+   yᵢ = −d, a Ge row's surplus (−eᵢ) gives yᵢ = d, and an Eq row's
+   artificial (+eᵢ, cost 1) gives yᵢ = 1 − d.  A singleton start scales
+   its row by 1/a together with that row's slack and artificial entries,
+   so the same readings come out in the unscaled row's units.  Rows the
+   layout flipped to a non-negative right-hand side get their sign back,
+   so the duals speak of the constraints as the caller wrote them. *)
+let phase1_duals (p : Lp_layout.problem) (lay : Lp_layout.layout) obj dual_col =
+  let flipped =
+    Array.of_list
+      (List.map (fun c -> Rat.sign c.Lp_layout.rhs < 0) p.Lp_layout.constraints)
+  in
+  Array.mapi
+    (fun i (_, _, op, _) ->
+      let d = obj.(dual_col.(i)) in
+      let y =
+        match op with
+        | Lp_layout.Le -> -.d
+        | Lp_layout.Ge -> d
+        | Lp_layout.Eq -> 1.0 -. d
+      in
+      if flipped.(i) then -.y else y)
+    lay.Lp_layout.rows_data
+
 let propose_point ?warm p (lay : Lp_layout.layout) =
   Bagcqc_error.protect @@ fun () ->
   let { Lp_layout.m; ncols; art_start; rows_data; _ } = lay in
@@ -266,6 +300,9 @@ let propose_point ?warm p (lay : Lp_layout.layout) =
         basis.(i) <- j
     in
     let next_slack = ref p.Lp_layout.num_vars and next_art = ref art_start in
+    (* Each row's slack/surplus column (Le/Ge) or artificial column (Eq):
+       where its phase-1 dual is read off the objective row. *)
+    let dual_col = Array.make m (-1) in
     Array.iteri
       (fun i (cols, vals, op, rhs) ->
         Array.iteri (fun k j -> rows.(i).(j) <- ingest vals.(k)) cols;
@@ -274,9 +311,11 @@ let propose_point ?warm p (lay : Lp_layout.layout) =
          | Lp_layout.Le ->
            rows.(i).(!next_slack) <- 1.0;
            basis.(i) <- !next_slack;
+           dual_col.(i) <- !next_slack;
            incr next_slack
          | Lp_layout.Ge ->
            rows.(i).(!next_slack) <- -1.0;
+           dual_col.(i) <- !next_slack;
            incr next_slack;
            rows.(i).(!next_art) <- 1.0;
            basis.(i) <- !next_art;
@@ -284,6 +323,7 @@ let propose_point ?warm p (lay : Lp_layout.layout) =
          | Lp_layout.Eq ->
            rows.(i).(!next_art) <- 1.0;
            basis.(i) <- !next_art;
+           dual_col.(i) <- !next_art;
            incr next_art);
         if basis.(i) >= art_start then singleton_start i cols)
       rows_data;
@@ -310,7 +350,8 @@ let propose_point ?warm p (lay : Lp_layout.layout) =
        | `Unbounded -> raise (Numerical "phase-1 objective looked unbounded")
        | `Optimal -> ());
       (* obj.(ncols) holds -(phase-1 value). *)
-      if -.obj.(ncols) > eps_feas then raise (Infeasible_at (Array.copy basis));
+      if -.obj.(ncols) > eps_feas then
+        raise (Infeasible_at (Array.copy basis, phase1_duals p lay obj dual_col));
       (* Drive remaining artificials out of the basis where the pivot
          element is numerically usable; rows where it is not are either
          redundant or will be caught by the repair step. *)
@@ -350,7 +391,7 @@ let propose_point ?warm p (lay : Lp_layout.layout) =
     check_finite_row ~what:"objective" obj;
     let allowed j = j < art_start in
     match run_phase t obj ~allowed ~budget with
-    | `Unbounded -> (Unbounded_direction, None)
+    | `Unbounded -> Probe_unbounded
     | `Optimal ->
       (* The float primal point of the final basis: each basic structural
          column reads its row's right-hand side, every nonbasic variable
@@ -361,9 +402,15 @@ let propose_point ?warm p (lay : Lp_layout.layout) =
         (fun i c ->
           if c >= 0 && c < p.Lp_layout.num_vars then point.(c) <- rows.(i).(ncols))
         basis;
-      (Optimal_basis (Array.copy basis), Some point)
+      Probe_optimal { basis = Array.copy basis; point }
   with
   | Numerical msg -> Bagcqc_error.overflow ~where msg
-  | Infeasible_at basis -> (Infeasible_basis basis, None)
+  | Infeasible_at (basis, duals) -> Probe_infeasible { basis; duals }
 
-let propose ?warm p lay = Result.map fst (propose_point ?warm p lay)
+let propose ?warm p lay =
+  Result.map
+    (function
+      | Probe_optimal { basis; _ } -> Optimal_basis basis
+      | Probe_infeasible { basis; _ } -> Infeasible_basis basis
+      | Probe_unbounded -> Unbounded_direction)
+    (propose_point ?warm p lay)

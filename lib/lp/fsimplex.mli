@@ -45,13 +45,27 @@ val propose :
     budget is exhausted (tolerance-masked cycling).  Callers treat any
     [Error] as "fall back to the exact engine". *)
 
+type probe =
+  | Probe_optimal of { basis : int array; point : float array }
+      (** Phase 2 ended optimal: the proposed basis, and the float primal
+          values of the structural variables at its vertex. *)
+  | Probe_infeasible of { basis : int array; duals : float array }
+      (** Phase 1 ended with a clearly positive artificial sum: the
+          phase-1 basis, and one float dual per constraint, in the order
+          and orientation the caller wrote them.  Up to tolerance,
+          [duals.(i) ≤ 0] on [Le] rows and [≥ 0] on [Ge] rows,
+          [Σᵢ duals.(i)·aᵢ ≤ 0] on every structural column and
+          [Σᵢ duals.(i)·bᵢ > 0] — a Farkas proof that the rows are
+          infeasible over [x ≥ 0]. *)
+  | Probe_unbounded  (** Phase 2 found no blocking row. *)
+
 val propose_point :
   ?warm:int array ->
   Lp_layout.problem -> Lp_layout.layout ->
-  (proposal * float array option, Bagcqc_num.Bagcqc_error.t) result
-(** {!propose} that additionally returns, for [Optimal_basis], the float
-    primal values of the structural variables at the proposed vertex
-    ([None] otherwise).  The point is {e heuristic} data — a
-    cutting-plane loop reads it to pick the next cuts without paying for
-    an exact repair — and never a verdict: tolerances make it at best an
-    approximately feasible, approximately optimal point. *)
+  (probe, Bagcqc_num.Bagcqc_error.t) result
+(** {!propose} with the float data of its final tableau: the primal
+    point of an optimal basis, or the row duals of an infeasible phase
+    1.  Both are {e heuristic} data and never a verdict — tolerances
+    make them at best approximately feasible.  A cutting-plane loop
+    reads the point to pick its next cuts, and rationalizes the duals
+    into a Farkas certificate that an exact checker then judges. *)

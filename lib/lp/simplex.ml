@@ -693,7 +693,7 @@ let solve_warm ?engine ?mode ?warm p =
 
 type float_outcome =
   | Float_optimal of float array * int array
-  | Float_infeasible of int array
+  | Float_infeasible of { basis : int array; duals : float array }
   | Float_unknown
 
 let c_float_probes = Obs.Metrics.counter "lp.float.probes"
@@ -702,9 +702,10 @@ let solve_float ?warm p =
   validate p;
   Obs.Metrics.bump c_float_probes;
   match Fsimplex.propose_point ?warm p (layout_of p) with
-  | Ok (Fsimplex.Optimal_basis b, Some x) -> Float_optimal (x, b)
-  | Ok (Fsimplex.Infeasible_basis b, _) -> Float_infeasible b
-  | Ok _ | Error _ -> Float_unknown
+  | Ok (Fsimplex.Probe_optimal { basis; point }) -> Float_optimal (point, basis)
+  | Ok (Fsimplex.Probe_infeasible { basis; duals }) ->
+    Float_infeasible { basis; duals }
+  | Ok Fsimplex.Probe_unbounded | Error _ -> Float_unknown
 
 let solve_result ?engine ?mode p =
   Bagcqc_error.protect (fun () -> solve ?engine ?mode p)

@@ -113,9 +113,12 @@ type float_outcome =
   | Float_optimal of float array * int array
       (** Float primal values of the structural variables at the proposed
           vertex, and the basis (feed it back as [?warm]). *)
-  | Float_infeasible of int array
-      (** Phase 1 saw a clearly positive artificial sum; the basis is
-          returned for warm reuse. *)
+  | Float_infeasible of { basis : int array; duals : float array }
+      (** Phase 1 saw a clearly positive artificial sum.  The basis is
+          returned for warm reuse; [duals] are the phase-1 row duals, one
+          per constraint in the caller's order and orientation (see
+          {!Fsimplex.probe}) — float Farkas multipliers that a caller
+          may rationalize into a certificate it then checks exactly. *)
   | Float_unknown  (** Unbounded direction or numerical failure. *)
 
 val solve_float : ?warm:int array -> problem -> float_outcome

@@ -64,6 +64,15 @@ let project phi p =
   in
   { arity = Array.length phi; rows }
 
+let tag_columns tags p =
+  if Array.length tags <> p.arity then
+    invalid_arg "Relation.tag_columns: one tag per column";
+  (* A fixed tag per column compares like the untagged value, so the map
+     is strictly monotone and [RSet.map] keeps the tree as it is laid
+     out instead of re-inserting every row. *)
+  { p with
+    rows = RSet.map (Array.mapi (fun j v -> Value.Tag (tags.(j), v))) p.rows }
+
 let project_set x p = project (Array.of_list (Varset.to_list x)) p
 
 let product columns =

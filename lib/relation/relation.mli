@@ -44,6 +44,13 @@ val project : int array -> t -> t
     permuted columns are allowed, e.g. [Π_{xxy}].
     @raise Invalid_argument if an index is out of range. *)
 
+val tag_columns : string array -> t -> t
+(** [tag_columns tags p] wraps column [j] of every row as
+    [Value.Tag (tags.(j), v)] — equal to rebuilding the tagged rows with
+    {!of_list}, without re-sorting them: one fixed tag per column keeps
+    the row order.
+    @raise Invalid_argument unless there is one tag per column. *)
+
 val project_set : Varset.t -> t -> t
 (** Standard projection [Π_X] onto the columns in [X], in increasing
     column order. *)

@@ -263,6 +263,7 @@ let stats_fields t =
     ("lazy_rounds", num s.Stats.lazy_rounds);
     ("lazy_cuts", num s.Stats.lazy_cuts);
     ("lazy_fallbacks", num s.Stats.lazy_fallbacks);
+    ("lazy_dual_fallbacks", num s.Stats.lazy_dual_fallbacks);
     ("orbit_cuts", num s.Stats.orbit_cuts);
     ("orbit_canonicalized", num s.Stats.orbit_canonicalized) ]
 

@@ -7,6 +7,7 @@ Runs, from the root of the checkout,
 
     perfbench/run.py --workload frontier --seed 7919 --seconds 2 --trace 0
     perfbench/run.py --workload fleet --seed 202 --seconds 2 --trace 0
+    perfbench/run.py --workload serve --seed 7919 --seconds 2 --trace 0
 
 and exits nonzero unless each run succeeded and its result line (the
 last line of standard output) reports "correct": true and "failed": 0.
@@ -15,7 +16,9 @@ certificates by Certificate.check, containment witnesses by recounting,
 refuters by cone membership.  It exits 0 even when a re-check fails, so
 its exit status alone is not a gate.  Fleet seed 202 draws the pair
 T(X1),T(X2),T(X3) vs T(X1),T(X2), whose witness has 4,096 rows, so the
-recount of a large bit-coded normal witness runs on every push.
+recount of a large bit-coded normal witness runs on every push.  The
+serve run sends fleet pairs to a `bagcqc serve` child over its socket
+and re-checks the daemon's replies the same way.
 """
 
 import json
@@ -24,7 +27,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-RUNS = [("frontier", "7919"), ("fleet", "202")]
+RUNS = [("frontier", "7919"), ("fleet", "202"), ("serve", "7919")]
 
 
 def run_one(workload, seed):

@@ -5,13 +5,19 @@
 # lifecycle the unit tests can only approximate in-process:
 #
 #   1. in-process protocol selftest (`serve --selftest`)
-#   2. cold check answered with a verified certificate
-#   3. cached re-check + stats (store gains exactly one entry)
+#   2. cold checks: a contained pair answered with a verified
+#      certificate, and a not-contained pair whose refutation LP pivots
+#   3. cached re-check + stats (store gains exactly two entries: the
+#      refutation points of the not-contained pair over the normal and
+#      Shannon cones, which --jobs 2 decides concurrently; the contained
+#      pair's certificate comes from the float probe's duals and
+#      persists no LP)
 #   4. malformed line and zero deadline answered with typed errors,
 #      connection and daemon both surviving
 #   5. graceful drain on SIGTERM: exit 0, socket file removed, trace
 #      artifact written and readable by `bagcqc report`
-#   6. warm restart: verdict served from the store with zero simplex pivots
+#   6. warm restart: the refutations served from the store with zero
+#      simplex pivots and fewer LP solves than the cold run
 #   7. corrupted store entry: rejected (counted) on load, never served,
 #      and the re-check still answers correctly by re-solving
 #   8. telemetry surface: /metrics is valid Prometheus exposition
@@ -78,20 +84,31 @@ client() {
 }
 
 CHECK_CONTAINED='{"id":1,"op":"check","q1":"R(x,y), R(y,z), R(z,x)","q2":"R(u,v), R(u,w)","certificate":true}'
+# Not contained: refuted by Optimal LP points over the normal cone
+# (3 pivots cold) and over the Shannon cone, the solves of these checks
+# that the store keeps.
+CHECK_REFUTED='{"id":2,"op":"check","q1":"T(x), T(y), S(z,y)","q2":"T(u), T(v)"}'
 STATS='{"id":"s","op":"stats"}'
+
+# stat NAME: the integer NAME from the stats reply in $out.
+stat() { echo "$out" | grep -o "\"$1\":[0-9]*" | head -1 | cut -d: -f2; }
 
 step "1: protocol selftest"
 "$BIN" serve --selftest >"$LOG" 2>&1 || fail "serve --selftest failed"
 
-step "2: cold check over the socket"
+step "2: cold checks over the socket"
 start_daemon --trace "$TRACE"
-out=$(client "$CHECK_CONTAINED") || fail "client exited nonzero"
+out=$(client "$CHECK_CONTAINED" "$CHECK_REFUTED" "$STATS") || fail "client exited nonzero"
 echo "$out" | grep -q '"verdict":"contained"' || fail "expected a contained verdict, got: $out"
 echo "$out" | grep -q '"certificate"' || fail "expected a certificate in: $out"
+echo "$out" | grep -q '"verdict":"not_contained"' || fail "expected a not_contained verdict, got: $out"
+echo "$out" | grep -q '"lp_pivots":0' && fail "the cold refutation should pivot: $out"
+COLD_SOLVES=$(stat lp_solves)
+[ -n "$COLD_SOLVES" ] || fail "no lp_solves in: $out"
 
 step "3: cached re-check + stats"
-out=$(client "$CHECK_CONTAINED" "$STATS") || fail "client exited nonzero"
-echo "$out" | grep -q '"store_appends":1' || fail "expected one store append in: $out"
+out=$(client "$CHECK_CONTAINED" "$CHECK_REFUTED" "$STATS") || fail "client exited nonzero"
+echo "$out" | grep -q '"store_appends":2' || fail "expected two store appends in: $out"
 
 step "4: malformed line and zero deadline get typed errors"
 out=$(client 'this is not JSON' \
@@ -111,11 +128,14 @@ stop_daemon
 
 step "6: warm restart serves the verdict from the store"
 start_daemon
-out=$(client "$CHECK_CONTAINED" "$STATS") || fail "client exited nonzero"
+out=$(client "$CHECK_CONTAINED" "$CHECK_REFUTED" "$STATS") || fail "client exited nonzero"
 echo "$out" | grep -q '"verdict":"contained"' || fail "warm verdict wrong: $out"
-echo "$out" | grep -q '"store_loaded":1' || fail "expected one store entry loaded in: $out"
-echo "$out" | grep -q '"store_hits":1' || fail "expected a store hit in: $out"
-echo "$out" | grep -q '"lp_pivots":0' || fail "warm check should not pivot: $out"
+echo "$out" | grep -q '"verdict":"not_contained"' || fail "warm verdict wrong: $out"
+echo "$out" | grep -q '"store_loaded":2' || fail "expected two store entries loaded in: $out"
+echo "$out" | grep -q '"store_hits":2' || fail "expected two store hits in: $out"
+echo "$out" | grep -q '"lp_pivots":0' || fail "warm checks should not pivot: $out"
+[ "$(stat lp_solves)" -lt "$COLD_SOLVES" ] \
+  || fail "warm run should solve fewer LPs than the cold run ($COLD_SOLVES): $out"
 stop_daemon
 
 step "7: corrupted store entry is rejected, verdict still correct"
@@ -132,10 +152,12 @@ text = text[:m.start()] + ("3" if m.group() != "3" else "4") + text[m.end():]
 open(path, "w").write(text)
 EOF
 start_daemon
-out=$(client "$CHECK_CONTAINED" "$STATS") || fail "client exited nonzero"
-echo "$out" | grep -q '"verdict":"contained"' || fail "post-corruption verdict wrong: $out"
+out=$(client "$CHECK_REFUTED" "$STATS") || fail "client exited nonzero"
+echo "$out" | grep -q '"verdict":"not_contained"' || fail "post-corruption verdict wrong: $out"
 echo "$out" | grep -q '"store_rejected":1' || fail "expected the corrupt entry rejected in: $out"
-echo "$out" | grep -q '"store_loaded":0' || fail "corrupt entry must not load: $out"
+echo "$out" | grep -q '"store_loaded":1' || fail "only the intact entry may load: $out"
+echo "$out" | grep -q '"store_hits":1' || fail "only the intact entry may be served: $out"
+[ "$(stat lp_solves)" -ge 1 ] || fail "the corrupt entry's LP must be re-solved: $out"
 stop_daemon
 
 # Wait for the daemon's banner to announce the (ephemeral) metrics port.

@@ -579,6 +579,114 @@ let test_valid_shannon_many_dedup () =
         (List.map (Cones.valid_shannon ~n:4) batch)
         (Cones.valid_shannon_many ~n:4 batch))
 
+(* ---------------- certificates from float duals ---------------- *)
+
+let test_multiplier_of_float () =
+  let exact (num, den) =
+    let v = float_of_int num /. float_of_int den in
+    match Separation.multiplier_of_float v with
+    | Some r ->
+      Alcotest.check rt (Printf.sprintf "%d/%d" num den) (qf num den) r
+    | None -> Alcotest.failf "%d/%d: no multiplier" num den
+  in
+  List.iter exact
+    [ (0, 1); (1, 1); (7, 1); (1, 3); (2, 7); (355, 113); (12345, 678);
+      (1, 999983); (1048575, 1048576); (123456789, 1) ];
+  let near v expected =
+    match Separation.multiplier_of_float v with
+    | Some r -> Alcotest.check rt (Printf.sprintf "%g" v) expected r
+    | None -> Alcotest.failf "%g: no multiplier" v
+  in
+  (* Float noise around p/q and around zero snaps to the exact value. *)
+  near ((1.0 /. 3.0) +. 1e-13) (qf 1 3);
+  near ((2.0 /. 7.0) -. 1e-12) (qf 2 7);
+  near 1e-12 Rat.zero;
+  near (-1e-12) Rat.zero;
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) (Printf.sprintf "%g rejected" v) true
+        (Separation.multiplier_of_float v = None))
+    [ Float.nan; Float.infinity; Float.neg_infinity;
+      (* no convergent within 1e-9 below denominator 2^20 *)
+      1.0 /. 2000003.0; 1.0 +. (1.0 /. 2000003.0); 0.5 +. (1.0 /. 3000017.0);
+      (* negative beyond tolerance *)
+      -1e-6; -0.5 ]
+
+(* R(W) as the lazy driver writes it — [E(h) ≤ −1] per side, then
+   [−a_d(h) ≤ 0] per working-set row — probed in floats. *)
+let probe_duals ~n es w =
+  let terms e = List.map (fun (s, c) -> (s - 1, c)) (Linexpr.terms e) in
+  let constraints =
+    List.map
+      (fun e -> Bagcqc_lp.Simplex.sparse_constr (terms e) Bagcqc_lp.Simplex.Le
+          Rat.minus_one)
+      es
+    @ List.map
+        (fun d ->
+          Bagcqc_lp.Simplex.sparse_constr
+            (terms (Linexpr.neg (Elemental.expr_of_desc ~n d)))
+            Bagcqc_lp.Simplex.Le Rat.zero)
+        w
+  in
+  let num_vars = (1 lsl n) - 1 in
+  match
+    Bagcqc_lp.Simplex.solve_float
+      { Bagcqc_lp.Simplex.num_vars;
+        objective = Array.make num_vars Rat.zero;
+        constraints }
+  with
+  | Bagcqc_lp.Simplex.Float_infeasible { duals; _ } -> duals
+  | _ -> Alcotest.fail "R(W) should be float-infeasible"
+
+let test_certificate_of_duals () =
+  let i01_2 = Linexpr.mutual (vs [ 0 ]) (vs [ 1 ]) (vs [ 2 ]) in
+  (* Each case names the rows whose perturbation must break the proof:
+     every row where the identity is tight (ν = 0), and only the W row
+     for h(X0) ≥ 0, whose lone target dual may be rescaled freely. *)
+  let cases =
+    [ (* a side that is itself a working-set row *)
+      (3, [ i01_2 ], [ Elemental.Submod (0, 1, vs [ 2 ]) ], [ 0; 1 ]);
+      (* h(X0) ≥ 0 needs only the coordinate axiom: λ = 0, ν > 0 *)
+      (2, [ Linexpr.term (vs [ 0 ]) ], [ Elemental.Mono 1 ], [ 1 ]);
+      (* a max of two sides, both sums of W rows *)
+      (3,
+       [ Linexpr.add i01_2 (Elemental.expr_of_desc ~n:3 (Elemental.Mono 0));
+         Linexpr.add i01_2
+           (Elemental.expr_of_desc ~n:3 (Elemental.Submod (0, 2, vs [])))
+       ],
+       [ Elemental.Submod (0, 1, vs [ 2 ]); Elemental.Mono 0;
+         Elemental.Submod (0, 2, vs []) ],
+       [ 0; 1; 2; 3; 4 ]) ]
+  in
+  List.iter
+    (fun (n, es, w, rows) ->
+      let duals = probe_duals ~n es w in
+      (match Separation.certificate_of_duals ~n es w duals with
+       | Some cert ->
+         Alcotest.(check bool) "dual certificate proves the instance" true
+           (Certificate.proves cert ~n es)
+       | None -> Alcotest.fail "correct duals must certify");
+      (* Perturbed duals: halve, or nudge, a multiplier.  The rebuilt
+         identity then leaves some ν_S negative (or a multiplier turns
+         negative), and nothing is accepted. *)
+      List.iter
+        (fun i ->
+          let y = duals.(i) in
+          List.iter
+            (fun y' ->
+              let bad = Array.copy duals in
+              bad.(i) <- y';
+              Alcotest.(check bool)
+                (Printf.sprintf "row %d perturbed from %g to %g" i y y')
+                true
+                (Separation.certificate_of_duals ~n es w bad = None))
+            ((if y < -1e-6 then [ y /. 2.0 ] else []) @ [ y -. 1e-4; y +. 1e-4 ]))
+        rows;
+      Alcotest.(check bool) "wrong row count rejected" true
+        (Separation.certificate_of_duals ~n es w (Array.append duals [| 0.0 |])
+         = None))
+    cases
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_subset_enum_complete; prop_truncated_modular_is_polymatroid;
@@ -609,5 +717,7 @@ let suite =
     ("symmetry canonicalization", `Quick, test_symmetry_canonicalization);
     ("lazy engine agrees with full", `Quick, test_lazy_engine_agrees_with_full);
     ("lazy certificates check", `Quick, test_lazy_certificates_check);
-    ("valid_shannon_many dedup", `Quick, test_valid_shannon_many_dedup) ]
+    ("valid_shannon_many dedup", `Quick, test_valid_shannon_many_dedup);
+    ("multiplier_of_float", `Quick, test_multiplier_of_float);
+    ("certificate_of_duals", `Quick, test_certificate_of_duals) ]
   @ qtests

@@ -552,6 +552,65 @@ let test_repair_zero_cost_basis () =
     (tag (Repair.repair p1 (Lp_layout.layout_of p1)
             (Fsimplex.Infeasible_basis [| 0 |])))
 
+(* An infeasible probe's row duals must be a Farkas proof of the rows as
+   written: yᵢ ≤ 0 on Le rows, ≥ 0 on Ge rows, Σ yᵢ·aᵢ ≤ 0 on every
+   column (the implicit x ≥ 0) and Σ yᵢ·bᵢ > 0.  The systems cover a
+   row the layout flips (negative rhs), a Ge row, and an Eq row whose
+   singleton column starts basic with the row scaled by 1/2 — a dual
+   read in scaled units would break the column sums. *)
+let test_phase1_duals_are_farkas () =
+  let farkas name num_vars rows =
+    let constraints =
+      List.map
+        (fun (l, op, r) ->
+          Simplex.sparse_constr (List.map (fun (j, c) -> (j, q c)) l) op (q r))
+        rows
+    in
+    let p =
+      { Simplex.num_vars; objective = Array.make num_vars Rat.zero;
+        constraints }
+    in
+    match Simplex.solve_float p with
+    | Simplex.Float_infeasible { duals; _ } ->
+      Alcotest.(check int) (name ^ ": one dual per row") (List.length rows)
+        (Array.length duals);
+      let tol = 1e-9 in
+      let col = Array.make num_vars 0.0 and yb = ref 0.0 in
+      List.iteri
+        (fun i (l, op, r) ->
+          let y = duals.(i) in
+          (match op with
+           | Simplex.Le ->
+             Alcotest.(check bool) (name ^ ": Le dual <= 0") true (y <= tol)
+           | Simplex.Ge ->
+             Alcotest.(check bool) (name ^ ": Ge dual >= 0") true (y >= -.tol)
+           | Simplex.Eq -> ());
+          List.iter
+            (fun (j, c) -> col.(j) <- col.(j) +. (y *. float_of_int c))
+            l;
+          yb := !yb +. (y *. float_of_int r))
+        rows;
+      Array.iteri
+        (fun j v ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: column %d sum <= 0 (%g)" name j v)
+            true (v <= tol))
+        col;
+      Alcotest.(check bool) (name ^ ": y.b > 0") true (!yb > 1e-6)
+    | Simplex.Float_optimal _ | Simplex.Float_unknown ->
+      Alcotest.failf "%s: expected a float infeasibility claim" name
+  in
+  farkas "ge vs two le" 2
+    [ ([ (0, 1); (1, 1) ], Simplex.Ge, 3);
+      ([ (0, 1) ], Simplex.Le, 1);
+      ([ (1, 1) ], Simplex.Le, 1) ];
+  farkas "flipped le" 2
+    [ ([ (0, -1); (1, -1) ], Simplex.Le, -3);
+      ([ (0, 1) ], Simplex.Le, 1);
+      ([ (1, 1) ], Simplex.Le, 1) ];
+  farkas "scaled singleton eq" 2
+    [ ([ (0, 1); (1, 2) ], Simplex.Eq, 4); ([ (0, 1) ], Simplex.Ge, 5) ]
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_solution_feasible; prop_engines_agree; prop_sparse_ingestion;
@@ -575,5 +634,6 @@ let suite =
     ("float overflow in an eliminated row", `Quick,
      test_float_overflow_in_eliminated_row);
     ("singleton start basis", `Quick, test_singleton_start);
-    ("repair with zero basic cost", `Quick, test_repair_zero_cost_basis) ]
+    ("repair with zero basic cost", `Quick, test_repair_zero_cost_basis);
+    ("phase-1 duals are a Farkas proof", `Quick, test_phase1_duals_are_farkas) ]
   @ qtests

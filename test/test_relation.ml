@@ -243,10 +243,35 @@ let prop_projection_composes =
       let rhs = Relation.project (Array.map (fun j -> phi.(j)) psi) p in
       Relation.equal lhs rhs)
 
+let prop_tag_columns_matches_rebuild =
+  QCheck.Test.make ~name:"tag_columns = of_list rebuild of the tagged rows"
+    ~count:200
+    (QCheck.make
+       ~print:(fun _ -> "rows")
+       QCheck.Gen.(
+         let* rows = list_size (int_range 0 12) (list_repeat 3 (int_range (-2) 3)) in
+         let* tags = list_repeat 3 (oneofl [ "a"; "b"; "x1"; "" ]) in
+         return (rows, tags)))
+    (fun (rows, tags) ->
+      let p = Relation.of_int_rows ~arity:3 rows in
+      let tags = Array.of_list tags in
+      let tagged = Relation.tag_columns tags p in
+      let rebuilt =
+        Relation.of_list ~arity:3
+          (List.map
+             (Array.mapi (fun j v -> Value.Tag (tags.(j), v)))
+             (Relation.to_list p))
+      in
+      Relation.equal tagged rebuilt
+      && List.equal
+           (fun r1 r2 -> Array.for_all2 Value.equal r1 r2)
+           (Relation.to_list tagged) (Relation.to_list rebuilt)
+      && Relation.cardinal tagged = Relation.cardinal p)
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_normal_relations_uniform; prop_bit_coded_matches_domain_product;
-      prop_projection_composes ]
+      prop_projection_composes; prop_tag_columns_matches_rebuild ]
 
 let test_value_hash () =
   let open Value in

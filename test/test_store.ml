@@ -324,28 +324,43 @@ let test_farkas_tampered_entry_dropped () =
 let test_lazy_store_roundtrip () =
   with_cone Cones.Lazy @@ fun () ->
   with_temp_store @@ fun path ->
-  (* The lazy driver persists its Optimal per-round solves (the final
-     restricted Farkas, any feasible refutation rounds) under its own
-     pure-feasibility tags; a warm restart must re-verify them, serve
-     the Farkas from disk, and reach the same certified verdict.  The
-     valid side's terminal refutation LP is Infeasible, which the store
-     never persists (no proof object), so the warm run still pays that
-     one small re-solve — but not the Farkas. *)
+  (* The lazy driver persists its Optimal per-round solves under its own
+     pure-feasibility tags; a warm restart must re-verify them and serve
+     them from disk.  A valid instance certifies from its float probe's
+     duals and persists nothing (its terminal refutation LP would be
+     Infeasible, which the store never keeps), so the store assertions
+     ride on a refuted instance: its exact round's Optimal refutation
+     point is appended cold and answers the warm run.  The valid
+     instance's certificate must check on both runs. *)
   let n = 3 in
-  let es =
-    [ Linexpr.mutual (Varset.singleton 0) (Varset.singleton 1)
-        (Varset.singleton 2) ]
+  let i01_2 =
+    Linexpr.mutual (Varset.singleton 0) (Varset.singleton 1)
+      (Varset.singleton 2)
+  in
+  let decide_both run =
+    (match Cones.valid_max_cert Cones.Gamma ~n [ i01_2 ] with
+     | Ok (Some cert) ->
+       Alcotest.(check bool) (run ^ " certificate checks") true
+         (Certificate.check cert)
+     | Ok None | Error _ ->
+       Alcotest.fail (run ^ ": I(0;1|2) >= 0 must be valid"));
+    match Cones.valid_max_cert Cones.Gamma ~n [ Linexpr.neg i01_2 ] with
+    | Error h ->
+      Alcotest.(check bool) (run ^ " refuter is a polymatroid") true
+        (Polymatroid.is_polymatroid h);
+      Alcotest.(check bool) (run ^ " refuter violates the side") true
+        (Rat.sign (Polymatroid.eval h (Linexpr.neg i01_2)) < 0)
+    | Ok _ -> Alcotest.fail (run ^ ": -I(0;1|2) >= 0 must be refuted")
   in
   Solver.clear ();
   Stats.reset ();
   let cold_solves =
     with_attached path (fun _ ->
-        (match Cones.valid_max_cert Cones.Gamma ~n es with
-         | Ok (Some cert) ->
-           Alcotest.(check bool) "certificate checks" true
-             (Certificate.check cert)
-         | Ok None | Error _ -> Alcotest.fail "I(0;1|2) >= 0 must be valid");
-        (Stats.snapshot ()).Stats.lp_solves)
+        decide_both "cold";
+        let s = Stats.snapshot () in
+        Alcotest.(check int) "cold run appends its refutation point" 1
+          s.Stats.store_appends;
+        s.Stats.lp_solves)
   in
   Solver.clear ();
   Stats.reset ();
@@ -353,11 +368,7 @@ let test_lazy_store_roundtrip () =
       Alcotest.(check int) "lazy entries re-verified on load" 0
         (Store.rejected st);
       Alcotest.(check bool) "something persisted" true (Store.loaded st >= 1);
-      (match Cones.valid_max_cert Cones.Gamma ~n es with
-       | Ok (Some cert) ->
-         Alcotest.(check bool) "warm certificate checks" true
-           (Certificate.check cert)
-       | Ok None | Error _ -> Alcotest.fail "warm verdict flipped");
+      decide_both "warm";
       let s = Stats.snapshot () in
       Alcotest.(check bool) "warm run solves less than cold" true
         (s.Stats.lp_solves < cold_solves);
